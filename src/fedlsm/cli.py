@@ -28,7 +28,7 @@ from .client import PseudoLabelDecision, loss_identified, loss_ude, \
     loss_unknown
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      config_to_dict, data_fingerprint, load_config)
-from .data import LabelRecord, gen_federation, save_csv
+from .data import gen_federation, save_csv
 from .errors import ConfigError, NumericError, ParseError
 from .server import run_federation
 
@@ -227,24 +227,22 @@ def cmd_gen_data(args) -> int:
 def _gradcheck_cases(rng: np.random.Generator, m: int):
     """Loss closures covering every term that produces gradients."""
     def supervised_single(batch_n):
-        labels = []
-        for _ in range(batch_n):
-            values = np.zeros(m)
-            values[rng.integers(m)] = 1.0
-            mask = np.ones(m, dtype=bool) if rng.random() < 0.7 \
-                else np.zeros(m, dtype=bool)
-            labels.append(LabelRecord(values=values, known_mask=mask))
-        return lambda logits: loss_identified(logits, labels, "single")
+        values = np.zeros((batch_n, m))
+        known = np.zeros((batch_n, m), dtype=bool)
+        for i in range(batch_n):
+            values[i, rng.integers(m)] = 1.0
+            known[i] = rng.random() < 0.7
+        return lambda logits: loss_identified(logits, values, known, "single")
 
     def supervised_multi(batch_n):
-        labels = []
-        for _ in range(batch_n):
-            values = (rng.random(m) < 0.4).astype(np.float64)
-            mask = rng.random(m) < 0.6
-            values = np.where(mask, values, 0.0)
-            labels.append(LabelRecord(values=values, known_mask=mask))
+        values = np.zeros((batch_n, m))
+        known = np.zeros((batch_n, m), dtype=bool)
+        for i in range(batch_n):
+            positive = rng.random(m) < 0.4
+            known[i] = rng.random(m) < 0.6
+            values[i] = np.where(known[i], positive, 0.0)
         weights = 1.0 + 3.0 * rng.random(m)
-        return lambda logits: loss_identified(logits, labels, "multi",
+        return lambda logits: loss_identified(logits, values, known, "multi",
                                               weights)
 
     def pseudo_single(batch_n):

@@ -119,6 +119,12 @@ class ClientUpdate:
     stats: dict = field(default_factory=dict)
 
 
+def _class_mask(m: int, classes) -> np.ndarray:
+    mask = np.zeros(m, dtype=bool)
+    mask[list(classes)] = True
+    return mask
+
+
 def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
                   threshold: float) -> PseudoLabelDecision:
     """Hard pseudo labels from teacher softmax on weak views.
@@ -128,7 +134,7 @@ def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
     x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
     probs = nn.softmax(nn.forward(teacher, x).logits)
     klass = probs.argmax(axis=1)
-    in_unknown = np.isin(klass, list(unknown))
+    in_unknown = _class_mask(probs.shape[1], unknown)[klass]
     kept = (probs.max(axis=1) >= threshold) & in_unknown
     return PseudoLabelDecision(kept=kept, klass=klass)
 
@@ -140,44 +146,47 @@ def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
         raise ConfigError(f"need tau_n < tau_p, got {tau_n} >= {tau_p}")
     x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
     probs = nn.sigmoid(nn.forward(teacher, x).logits)
-    state = np.zeros_like(probs, dtype=np.int8)
-    cols = list(unknown)
-    p = probs[:, cols]
-    sub = np.zeros_like(p, dtype=np.int8)
-    sub[p >= tau_p] = 1
-    sub[p <= tau_n] = -1
-    state[:, cols] = sub
+    cols = _class_mask(probs.shape[1], unknown)
+    state = np.zeros(probs.shape, dtype=np.int8)
+    state[cols & (probs >= tau_p)] = 1
+    state[cols & (probs <= tau_n)] = -1
     return PseudoLabelDecision(state=state)
 
 
-def loss_identified(logits: np.ndarray, labels, task: str,
-                    class_weights: np.ndarray | None = None):
+def _hard_label_ce(logits: np.ndarray, rows: np.ndarray, klass: np.ndarray,
+                   denom: int):
+    """Cross-entropy of logits[rows] against classes klass, over denom.
+
+    The loss is summed row by row in index order, so it does not depend
+    on how NumPy groups a reduction.  Other rows get zero gradient.
+    """
+    log_p = nn.log_softmax(logits)
+    dlogits = np.zeros_like(logits)
+    dlogits[rows] = np.exp(log_p[rows])
+    dlogits[rows, klass] -= 1.0
+    loss = 0.0 - np.cumsum(log_p[rows, klass])[-1]
+    return float(loss / denom), dlogits / denom
+
+
+def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
+                    task: str, class_weights: np.ndarray | None = None):
     """Supervised loss on known labels -> (loss, dloss/dlogits).
 
+    values and known are the batch's (n, m) label values and trust mask.
     Single-label: mean cross-entropy over the labeled samples; unlabeled
     rows contribute exactly zero.  Multi-label: mean weighted BCE over the
     known (sample, class) pairs; unknown pairs carry exactly zero gradient.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    n, m = logits.shape
+    m = logits.shape[1]
     if task == "single":
-        labeled = np.array([rec.known_mask.any() for rec in labels])
-        count = int(labeled.sum())
-        if count == 0:
+        rows = np.flatnonzero(known.any(axis=1))
+        if rows.size == 0:
             return 0.0, np.zeros_like(logits)
-        log_p = nn.log_softmax(logits)
-        probs = np.exp(log_p)
-        dlogits = np.zeros_like(logits)
-        loss = 0.0
-        for i in np.flatnonzero(labeled):
-            y = int(np.argmax(labels[i].values))
-            loss -= log_p[i, y]
-            dlogits[i] = probs[i]
-            dlogits[i, y] -= 1.0
-        return float(loss / count), dlogits / count
+        return _hard_label_ce(logits, rows, values[rows].argmax(axis=1),
+                              rows.size)
 
-    mask = np.stack([rec.known_mask for rec in labels]).astype(np.float64)
-    values = np.stack([rec.values for rec in labels])
+    mask = known.astype(np.float64)
     count = mask.sum()
     if count == 0:
         return 0.0, np.zeros_like(logits)
@@ -209,16 +218,8 @@ def loss_unknown(logits: np.ndarray, decisions: PseudoLabelDecision, task: str,
             denom = len(kept_idx)
         if denom == 0 or len(kept_idx) == 0:
             return 0.0, np.zeros_like(logits)
-        log_p = nn.log_softmax(logits)
-        probs = np.exp(log_p)
-        dlogits = np.zeros_like(logits)
-        loss = 0.0
-        for i in kept_idx:
-            y = int(decisions.klass[i])
-            loss -= log_p[i, y]
-            dlogits[i] = probs[i]
-            dlogits[i, y] -= 1.0
-        return float(loss / denom), dlogits / denom
+        return _hard_label_ce(logits, kept_idx,
+                              np.asarray(decisions.klass)[kept_idx], denom)
 
     n = logits.shape[0]
     state = decisions.state
@@ -270,69 +271,58 @@ def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
 
 
 def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
-          lambda_mix: float):
-    """Convex combination of two samples and their label vectors."""
+          lambda_mix):
+    """Convex combination of two samples and their label vectors.
+
+    For row-stacked pairs, lambda_mix is a (pairs, 1) column of weights.
+    """
     x = lambda_mix * np.asarray(x_l) + (1.0 - lambda_mix) * np.asarray(x_h)
     y = lambda_mix * np.asarray(y_l) + (1.0 - lambda_mix) * np.asarray(y_h)
     return x, y
 
 
-def _ude_member_labels(dataset: list[Sample], indices: np.ndarray,
-                       teacher: nn.ModelParams, spec: ClientSpec,
-                       cfg: ClientConfig, rng: np.random.Generator):
+def _ude_member_labels(probs: np.ndarray, values: np.ndarray,
+                       known: np.ndarray, unknown, cfg: ClientConfig):
     """Label vectors and usability masks for prospective MixUp members.
 
+    probs holds the teacher's outputs on the members' weak views.
     Single-label members use their known one-hot label when they have one,
     otherwise a relaxed-threshold teacher pseudo label; a member with
-    neither is unusable.  Multi-label members get true values on known
+    neither is unusable.  Multi-label members get known values on known
     classes and relaxed pseudo verdicts on unknown ones; classes where the
     teacher abstains are unusable for that member.
     """
-    xs = np.stack([dataset[i].x for i in indices])
-    x_weak = augment_weak_batch(xs, rng, cfg.augment)
-    m = teacher.num_classes
-    labels = np.zeros((len(indices), m))
     if cfg.task == "single":
-        probs = nn.softmax(nn.forward(teacher, x_weak).logits)
-        usable = np.zeros(len(indices), dtype=bool)
-        for j, i in enumerate(indices):
-            rec = dataset[i].label
-            if rec.known_mask.any():
-                labels[j] = rec.values
-                usable[j] = True
-            elif probs[j].max() >= cfg.tau_l:
-                labels[j, int(probs[j].argmax())] = 1.0
-                usable[j] = True
+        labeled = known.any(axis=1)
+        pseudo = np.flatnonzero(~labeled & (probs.max(axis=1) >= cfg.tau_l))
+        labels = np.where(labeled[:, None], values, 0.0)
+        labels[pseudo, probs[pseudo].argmax(axis=1)] = 1.0
+        usable = labeled.copy()
+        usable[pseudo] = True
         return labels, usable
-    probs = nn.sigmoid(nn.forward(teacher, x_weak).logits)
-    valid = np.zeros((len(indices), m), dtype=bool)
-    for j, i in enumerate(indices):
-        rec = dataset[i].label
-        labels[j] = np.where(rec.known_mask, rec.values, 0.0)
-        valid[j] = rec.known_mask.copy()
-        for c in spec.unknown:
-            if probs[j, c] >= cfg.tau_lp:
-                labels[j, c] = 1.0
-                valid[j, c] = True
-            elif probs[j, c] <= cfg.tau_ln:
-                valid[j, c] = True
-    return labels, valid
+    cols = _class_mask(probs.shape[1], unknown)
+    pos = cols & (probs >= cfg.tau_lp)
+    neg = cols & (probs <= cfg.tau_ln)
+    labels = np.where(pos, 1.0, np.where(known, values, 0.0))
+    return labels, known | pos | neg
 
 
-def ude_batch(dataset: list[Sample], part: UncertaintyPartition,
-              teacher: nn.ModelParams, spec: ClientSpec, cfg: ClientConfig,
-              rng: np.random.Generator):
+def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
+              part: UncertaintyPartition, teacher: nn.ModelParams,
+              spec: ClientSpec, cfg: ClientConfig, rng: np.random.Generator):
     """Sample up to ude_batch_size MixUp pairs of (confident, uncertain).
 
-    Uncertain members always take relaxed-threshold pseudo labels;
-    confident members take their own label when present.  Pairs whose
-    uncertain member (single-label: either member) has no usable label are
-    dropped and redrawn a bounded number of times, so fewer than
-    ude_batch_size pairs may come back.  Returns (inputs, soft labels,
-    valid-entry mask or None).
+    x, values and known hold the client's samples row by row; `part`
+    indexes the rows.  Confident and uncertain members alike take their
+    known labels first and relaxed-threshold teacher verdicts elsewhere
+    (_ude_member_labels).  Single-label pairs need both members usable;
+    multi-label pairs are valid where both members are and need one such
+    class.  Other pairs are redrawn for a bounded number of rounds, so
+    fewer pairs may come back.  Returns (inputs, soft labels, valid-entry
+    mask or None).
     """
     m = teacher.num_classes
-    empty = (np.zeros((0, dataset[0].x.shape[0])), np.zeros((0, m)), None)
+    empty = (np.zeros((0, x.shape[1])), np.zeros((0, m)), None)
     if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
         return empty
     xs_mix, ys_mix, valids = [], [], []
@@ -342,77 +332,83 @@ def ude_batch(dataset: list[Sample], part: UncertaintyPartition,
             break
         low_idx = rng.choice(part.low, size=need, replace=True)
         high_idx = rng.choice(part.high, size=need, replace=True)
-        y_low, ok_low = _ude_member_labels(dataset, low_idx, teacher, spec,
-                                           cfg, rng)
-        y_high, ok_high = _ude_member_labels(dataset, high_idx, teacher, spec,
-                                             cfg, rng)
+        members = np.concatenate([low_idx, high_idx])
+        # One draw of 2*need weak views is the same stream as a draw for
+        # the low members followed by one for the high members.
+        logits = nn.forward(teacher, augment_weak_batch(
+            x[members], rng, cfg.augment)).logits
+        probs = nn.softmax(logits) if cfg.task == "single" \
+            else nn.sigmoid(logits)
+        y, ok = _ude_member_labels(probs, values[members], known[members],
+                                   spec.unknown, cfg)
         lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
-        kept = 0
-        for j in range(need):
-            if cfg.task == "single":
-                if not (ok_low[j] and ok_high[j]):
-                    continue
-                pair_valid = None
-            else:
-                pair_valid = ok_low[j] & ok_high[j]
-                if not pair_valid.any():
-                    continue
-            x_mix, y_mix = mixup(dataset[low_idx[j]].x, y_low[j],
-                                 dataset[high_idx[j]].x, y_high[j],
-                                 float(lams[j]))
-            xs_mix.append(x_mix)
-            ys_mix.append(y_mix)
-            valids.append(pair_valid)
-            kept += 1
-        need -= kept
-    if not xs_mix:
+        pair_ok = ok[:need] & ok[need:]
+        keep = np.flatnonzero(pair_ok if cfg.task == "single"
+                              else pair_ok.any(axis=1))
+        x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
+                             y[need + keep], lams[keep, None])
+        xs_mix.append(x_mix)
+        ys_mix.append(y_mix)
+        valids.append(pair_ok[keep])
+        need -= keep.size
+    if need == cfg.ude_batch_size:
         return empty
-    valid_arr = None if cfg.task == "single" else np.stack(valids)
-    return np.stack(xs_mix), np.stack(ys_mix), valid_arr
+    valid = None if cfg.task == "single" else np.concatenate(valids)
+    return np.concatenate(xs_mix), np.concatenate(ys_mix), valid
 
 
-def compute_class_weights(dataset: list[Sample], spec: ClientSpec,
+def compute_class_weights(values: np.ndarray, known: np.ndarray, identified,
                           clip_max: float = 100.0) -> np.ndarray:
-    """Positive-term BCE weights n_neg/n_pos from known labels, in [1, clip]."""
-    m = len(dataset[0].true_label)
-    weights = np.ones(m)
-    for c in spec.identified:
-        n_pos = sum(float(s.label.values[c]) for s in dataset
-                    if s.label.known_mask[c])
-        n_known = sum(1 for s in dataset if s.label.known_mask[c])
-        n_neg = n_known - n_pos
-        weights[c] = min(max(n_neg / max(n_pos, 1.0), 1.0), clip_max)
+    """Positive-term BCE weights n_neg/n_pos from known labels, in [1, clip].
+
+    values and known are (n, m) label values and trust mask; classes
+    outside `identified` get weight 1.
+    """
+    n_pos = np.where(known, values, 0.0).sum(axis=0)
+    n_neg = known.sum(axis=0) - n_pos
+    ratio = np.clip(n_neg / np.maximum(n_pos, 1.0), 1.0, clip_max)
+    weights = np.ones(values.shape[1])
+    cols = list(identified)
+    weights[cols] = ratio[cols]
     return weights
 
 
-def _label_counts(dataset: list[Sample], spec: ClientSpec, task: str,
-                  m: int) -> np.ndarray:
-    counts = np.zeros(m)
-    for s in dataset:
-        if task == "single":
-            if s.label.known_mask.any():
-                counts[int(np.argmax(s.label.values))] += 1
-        else:
-            counts += np.where(s.label.known_mask, s.label.values, 0.0)
+def _label_counts(values: np.ndarray, known: np.ndarray, spec: ClientSpec,
+                  task: str) -> np.ndarray:
+    m = values.shape[1]
+    if task == "single":
+        labeled = known.any(axis=1)
+        counts = np.bincount(values[labeled].argmax(axis=1),
+                             minlength=m).astype(np.float64)
+    else:
+        counts = np.where(known, values, 0.0).sum(axis=0)
     # Unknown-class entries stay zero; pseudo counts are added separately.
-    for c in spec.unknown:
-        counts[c] = 0.0
+    counts[list(spec.unknown)] = 0.0
     return counts
 
 
-def _single_decisions(teacher: nn.ModelParams, x_weak: np.ndarray,
-                      labels, unknown, tau: float) -> PseudoLabelDecision:
-    dec = pseudo_single(teacher, x_weak, unknown, tau)
-    # Labeled samples belong to the supervised loss, never the pseudo loss.
-    unlabeled = np.array([not rec.known_mask.any() for rec in labels])
-    dec.kept = dec.kept & unlabeled
-    return dec
+def _track_verdicts(tracked: np.ndarray, batch_idx: np.ndarray,
+                    hits: np.ndarray) -> None:
+    """Record in `tracked` each sample's latest confident pseudo verdict.
+
+    hits[j] holds the positive classes of the verdict on sample
+    batch_idx[j].  A row with none leaves the sample's earlier verdict in
+    place; a sample drawn twice keeps its later verdict.
+    """
+    rows = np.flatnonzero(hits.any(axis=1))
+    _, first_from_end = np.unique(batch_idx[rows][::-1], return_index=True)
+    rows = rows[len(rows) - 1 - first_from_end]
+    tracked[batch_idx[rows]] = hits[rows]
 
 
 def local_train(global_params: nn.ModelParams, dataset: list[Sample],
                 spec: ClientSpec, cfg: ClientConfig, round_idx: int,
                 seed: int) -> ClientUpdate:
     """Run one client round and emit the update for the server.
+
+    With cfg.use_pseudo off this is plain FedAvg-style local training:
+    the supervised loss alone, over the labeled samples (single-label) or
+    all samples (multi-label), with no teacher, partition or MixUp.
 
     The estimated class distribution counts true labels for identified
     classes and, for unknown classes, the distinct samples that received a
@@ -424,79 +420,85 @@ def local_train(global_params: nn.ModelParams, dataset: list[Sample],
         raise ConfigError(f"client {spec.client_id}: empty dataset")
     cfg.validate()
     m = global_params.num_classes
+    x = np.stack([s.x for s in dataset])
+    values = np.stack([s.label.values for s in dataset])
+    known = np.stack([s.label.known_mask for s in dataset])
+    unlabeled = ~known.any(axis=1)
     rng = np.random.default_rng([seed, round_idx, spec.client_id])
     lr_t = cfg.lr / (1.0 + cfg.lr_decay * round_idx)
 
-    student = global_params
+    student = teacher = global_params
     adam = nn.AdamState.init(student, beta1=cfg.adam_beta1,
                              beta2=cfg.adam_beta2, eps=cfg.adam_eps)
-    edd = _label_counts(dataset, spec, cfg.task, m)
-
-    if not cfg.use_pseudo:
-        student, stats = _supervised_rounds(student, adam, dataset, spec, cfg,
-                                            lr_t, rng, round_idx)
-        return ClientUpdate(client_id=spec.client_id, params=student,
-                            n_samples=len(dataset), edd=edd, stats=stats)
-
-    teacher = global_params
-    part = partition(dataset, global_params, cfg.task, spec.unknown,
-                     cfg.frac_l, cfg.frac_h)
-    pool = np.sort(np.concatenate([part.low, part.mid]))
-    if pool.size == 0 and cfg.local_iters > 0:
-        raise ConfigError(f"client {spec.client_id}: no trainable samples "
-                          "(frac_h leaves nothing below high uncertainty)")
-
+    edd = _label_counts(values, known, spec, cfg.task)
     class_weights = cfg.class_weights
     if cfg.task == "multi" and class_weights is None:
-        class_weights = compute_class_weights(dataset, spec)
+        class_weights = compute_class_weights(values, known, spec.identified)
+
+    if cfg.use_pseudo:
+        part = partition(x, global_params, cfg.task, spec.unknown,
+                         cfg.frac_l, cfg.frac_h)
+        pool = np.sort(np.concatenate([part.low, part.mid]))
+        if pool.size == 0 and cfg.local_iters > 0:
+            raise ConfigError(f"client {spec.client_id}: no trainable "
+                              "samples (frac_h leaves nothing below high "
+                              "uncertainty)")
+    elif cfg.task == "single":
+        pool = np.flatnonzero(~unlabeled)
+    else:
+        pool = np.arange(len(dataset))
 
     epoch_iters = max(1, math.ceil(pool.size / cfg.batch_size))
     edd_window_start = max(0, cfg.local_iters - epoch_iters)
-    # sample index -> last confident pseudo verdict inside the window
-    tracked_single: dict[int, int] = {}
-    tracked_multi: dict[int, np.ndarray] = {}
+    # per sample: the positive classes of its latest confident pseudo
+    # verdict inside the window
+    tracked = np.zeros((len(dataset), m), dtype=bool)
 
     loss_sums = np.zeros(3)
     kept_total = 0
     for it in range(cfg.local_iters):
+        if pool.size == 0:
+            break
         batch_idx = rng.choice(pool, size=cfg.batch_size,
                                replace=pool.size < cfg.batch_size)
-        xs = np.stack([dataset[i].x for i in batch_idx])
-        labels = [dataset[i].label for i in batch_idx]
-        x_weak = augment_weak_batch(xs, rng, cfg.augment)
-        x_strong = augment_strong_batch(xs, rng, cfg.augment)
-
-        if cfg.task == "single":
-            dec = _single_decisions(teacher, x_weak, labels, spec.unknown,
-                                    cfg.tau)
-            if cfg.pseudo_loss_norm == "kept":
-                denom = int(dec.kept.sum())
-            else:
-                denom = sum(1 for rec in labels if not rec.known_mask.any())
-        else:
-            dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
-                               cfg.tau_n)
-            denom = cfg.batch_size
-
+        x_batch = x[batch_idx]
+        x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
         cache_w = nn.forward(student, x_weak)
-        l_i, dl_w = loss_identified(cache_w.logits, labels, cfg.task,
-                                    class_weights)
+        l_i, dl_w = loss_identified(cache_w.logits, values[batch_idx],
+                                    known[batch_idx], cfg.task, class_weights)
         grads = nn.backward(student, cache_w, dl_w)
 
-        cache_s = nn.forward(student, x_strong)
-        l_u, dl_s = loss_unknown(cache_s.logits, dec, cfg.task, denom)
-        grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
+        l_u = l_ude = 0.0
+        if cfg.use_pseudo:
+            x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
+            if cfg.task == "single":
+                dec = pseudo_single(teacher, x_weak, spec.unknown, cfg.tau)
+                # Labeled samples belong to the supervised loss, never the
+                # pseudo loss.
+                dec.kept &= unlabeled[batch_idx]
+                denom = int(dec.kept.sum()) if cfg.pseudo_loss_norm == "kept" \
+                    else int(unlabeled[batch_idx].sum())
+                hits = dec.kept[:, None] & (dec.klass[:, None] == np.arange(m))
+            else:
+                dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
+                                   cfg.tau_n)
+                denom = cfg.batch_size
+                hits = dec.state == 1
 
-        l_ude = 0.0
-        if cfg.ude_weight > 0:
-            x_mix, y_mix, valid = ude_batch(dataset, part, teacher, spec, cfg,
-                                            rng)
-            if x_mix.shape[0] > 0:
-                cache_u = nn.forward(student, x_mix)
-                l_ude, dl_u = loss_ude(cache_u.logits, y_mix, cfg.task, valid)
-                grads = nn.add_params(grads,
-                                      nn.backward(student, cache_u, dl_u),
-                                      scale=cfg.ude_weight)
+            cache_s = nn.forward(student, x_strong)
+            l_u, dl_s = loss_unknown(cache_s.logits, dec, cfg.task, denom)
+            grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
+
+            if cfg.ude_weight > 0:
+                x_mix, y_mix, valid = ude_batch(x, values, known, part,
+                                                teacher, spec, cfg, rng)
+                if x_mix.shape[0] > 0:
+                    cache_u = nn.forward(student, x_mix)
+                    l_ude, dl_u = loss_ude(cache_u.logits, y_mix, cfg.task,
+                                           valid)
+                    grads = nn.add_params(grads,
+                                          nn.backward(student, cache_u, dl_u),
+                                          scale=cfg.ude_weight)
 
         total = l_i + l_u + cfg.ude_weight * l_ude
         if not np.isfinite(total):
@@ -504,29 +506,15 @@ def local_train(global_params: nn.ModelParams, dataset: list[Sample],
                 f"client {spec.client_id}: non-finite loss at round "
                 f"{round_idx} iter {it} (L_I={l_i}, L_U={l_u}, L_UDE={l_ude})")
         student, adam = nn.adam_step(student, grads, adam, lr_t)
-        teacher = nn.ema_update(teacher, student, cfg.ema_decay)
-
         loss_sums += (l_i, l_u, l_ude)
-        if cfg.task == "single":
-            kept_total += int(dec.kept.sum())
-            if it >= edd_window_start:
-                for j in np.flatnonzero(dec.kept):
-                    tracked_single[int(batch_idx[j])] = int(dec.klass[j])
-        else:
-            kept_total += int((dec.state == 1).sum())
-            if it >= edd_window_start:
-                for j in range(len(batch_idx)):
-                    pos = dec.state[j] == 1
-                    if pos.any():
-                        tracked_multi[int(batch_idx[j])] = pos
+        if not cfg.use_pseudo:
+            continue
+        teacher = nn.ema_update(teacher, student, cfg.ema_decay)
+        kept_total += int(hits.sum())
+        if it >= edd_window_start:
+            _track_verdicts(tracked, batch_idx, hits)
 
-    if cfg.task == "single":
-        for klass in tracked_single.values():
-            edd[klass] += 1
-    else:
-        for pos in tracked_multi.values():
-            edd += pos.astype(np.float64)
-
+    edd += tracked.sum(axis=0)
     iters = max(cfg.local_iters, 1)
     stats = {
         "loss_identified": float(loss_sums[0] / iters),
@@ -536,39 +524,3 @@ def local_train(global_params: nn.ModelParams, dataset: list[Sample],
     }
     return ClientUpdate(client_id=spec.client_id, params=student,
                         n_samples=len(dataset), edd=edd, stats=stats)
-
-
-def _supervised_rounds(student, adam, dataset, spec, cfg, lr_t, rng,
-                       round_idx):
-    """Plain FedAvg-style local training: supervised loss on known labels."""
-    if cfg.task == "single":
-        pool = np.array([i for i, s in enumerate(dataset)
-                         if s.label.known_mask.any()], dtype=np.int64)
-    else:
-        pool = np.arange(len(dataset), dtype=np.int64)
-    class_weights = cfg.class_weights
-    if cfg.task == "multi" and class_weights is None:
-        class_weights = compute_class_weights(dataset, spec)
-    loss_sum = 0.0
-    ran = 0
-    for it in range(cfg.local_iters):
-        if pool.size == 0:
-            break
-        batch_idx = rng.choice(pool, size=cfg.batch_size,
-                               replace=pool.size < cfg.batch_size)
-        xs = np.stack([dataset[i].x for i in batch_idx])
-        labels = [dataset[i].label for i in batch_idx]
-        x_weak = augment_weak_batch(xs, rng, cfg.augment)
-        cache = nn.forward(student, x_weak)
-        loss, dlogits = loss_identified(cache.logits, labels, cfg.task,
-                                        class_weights)
-        if not np.isfinite(loss):
-            raise NumericError(f"client {spec.client_id}: non-finite "
-                               f"supervised loss at round {round_idx} iter {it}")
-        grads = nn.backward(student, cache, dlogits)
-        student, adam = nn.adam_step(student, grads, adam, lr_t)
-        loss_sum += loss
-        ran += 1
-    stats = {"loss_identified": loss_sum / max(ran, 1), "loss_unknown": 0.0,
-             "loss_ude": 0.0, "kept_pseudo": 0}
-    return student, stats

@@ -325,10 +325,16 @@ def load_csv(path: str) -> list[Sample]:
         try:
             x = np.array([float(v) for v in row[:d]])
             values = np.array([float(v) for v in row[d:d + m]])
-            mask = np.array([bool(int(v)) for v in row[d + m:d + 2 * m]])
+            mask_ints = [int(v) for v in row[d + m:d + 2 * m]]
             truth = np.array([float(v) for v in row[d + 2 * m:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not (np.isfinite(x).all() and np.isfinite(values).all()
+                and np.isfinite(truth).all()):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        if any(v not in (0, 1) for v in mask_ints):
+            raise ParseError(f"{path}:{lineno}: mask cells must be 0 or 1")
+        mask = np.array(mask_ints, dtype=bool)
         samples.append(Sample(x=x, true_label=truth,
                               label=LabelRecord(values=values, known_mask=mask)))
     return samples

@@ -12,6 +12,7 @@ convention: every operation returns fresh arrays.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -137,7 +138,8 @@ def forward(params: ModelParams, batch: np.ndarray) -> ForwardCache:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
-    expected = params.layer_dims[0]
+    expected = (params.layers[0][0].shape[0] if params.layers
+                else params.feature_dim)
     if batch.shape[1] != expected:
         raise ShapeError(
             f"batch has {batch.shape[1]} columns, model expects {expected}")
@@ -160,17 +162,18 @@ def backward(params: ModelParams, cache: ForwardCache,
     if dlogits.shape != cache.logits.shape:
         raise ShapeError(
             f"dlogits shape {dlogits.shape} != logits shape {cache.logits.shape}")
-    grads = zeros_like_params(params)
-    grads.proxies = dlogits.T @ cache.features
-    grads.proxy_bias = dlogits.sum(axis=0)
+    proxies = dlogits.T @ cache.features
+    proxy_bias = dlogits.sum(axis=0)
     dh = dlogits @ params.proxies
+    layers = []
     for i in range(len(params.layers) - 1, -1, -1):
         w, _ = params.layers[i]
         dz = dh * (1.0 - cache.acts[i] ** 2)  # tanh'(z) = 1 - tanh(z)^2
         prev = cache.acts[i - 1] if i > 0 else cache.inputs
-        grads.layers[i] = (prev.T @ dz, dz.sum(axis=0))
+        layers.append((prev.T @ dz, dz.sum(axis=0)))
         dh = dz @ w.T
-    return grads
+    return ModelParams(layers=layers[::-1], proxies=proxies,
+                       proxy_bias=proxy_bias)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
@@ -312,25 +315,41 @@ def save_params(params: ModelParams, path: str) -> None:
 
 
 def load_params(path: str) -> ModelParams:
+    """Inverse of save_params.  Raises ParseError naming the path."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ParseError(f"{path}: not a checkpoint file (bad magic)")
-        version, n_dims, num_classes = struct.unpack("<III", f.read(12))
-        if version != CHECKPOINT_VERSION:
-            raise ParseError(f"{path}: unsupported checkpoint version {version}")
-        dims = struct.unpack(f"<{n_dims}I", f.read(4 * n_dims))
-
-        def read_array(shape):
-            n = int(np.prod(shape))
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ParseError(f"{path}: truncated parameter data")
-            return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            layers.append((read_array((fan_in, fan_out)), read_array((fan_out,))))
-        proxies = read_array((num_classes, dims[-1]))
-        proxy_bias = read_array((num_classes,))
-    return ModelParams(layers=layers, proxies=proxies, proxy_bias=proxy_bias)
+        blob = f.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ParseError(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < 16:
+        raise ParseError(f"{path}: truncated header")
+    version, n_dims, num_classes = struct.unpack_from("<III", blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    if n_dims < 1:
+        raise ParseError(f"{path}: need at least one layer dimension, "
+                         f"got {n_dims}")
+    if num_classes < 2:
+        raise ParseError(f"{path}: num_classes must be >= 2, got {num_classes}")
+    offset = 16 + 4 * n_dims
+    if len(blob) < offset:
+        raise ParseError(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{n_dims}I", blob, 16)
+    shapes = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    shapes += [(num_classes, dims[-1]), (num_classes,)]
+    size = offset + 8 * sum(math.prod(shape) for shape in shapes)
+    if len(blob) < size:
+        raise ParseError(f"{path}: truncated parameter data")
+    if len(blob) > size:
+        raise ParseError(f"{path}: {len(blob) - size} trailing bytes after "
+                         "the parameter data")
+    arrays = []
+    for shape in shapes:
+        n = math.prod(shape)
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
+                      .astype(np.float64).reshape(shape))
+        offset += 8 * n
+    layers = list(zip(arrays[:-2:2], arrays[1:-2:2]))
+    return ModelParams(layers=layers, proxies=arrays[-2],
+                       proxy_bias=arrays[-1])

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import Sample
 from .errors import ConfigError
 
 
@@ -32,8 +31,7 @@ def entropy_single(probs: np.ndarray) -> float:
         raise ConfigError(f"expected a probability vector, got shape {probs.shape}")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-6:
         raise ConfigError("invalid probability distribution")
-    terms = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
-    return float(-terms.sum())
+    return float(_entropy_rows(probs))
 
 
 def entropy_multi(probs: np.ndarray, unknown) -> float:
@@ -44,30 +42,45 @@ def entropy_multi(probs: np.ndarray, unknown) -> float:
     p = np.asarray(probs, dtype=np.float64)[unknown]
     if np.any(p < 0) or np.any(p > 1):
         raise ConfigError("per-class probabilities must lie in [0, 1]")
-    return float(np.mean([_binary_entropy(v) for v in p]) / np.log(2.0))
+    return float(_binary_entropy_rows(p))
 
 
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
+def _entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy along the last axis, with 0 ln 0 = 0."""
+    terms = np.where(probs > 0, probs * np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
 
 
-def score_dataset(dataset: list[Sample], params: nn.ModelParams, task: str,
+def _binary_entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Mean binary entropy along the last axis over ln 2; 0 at p in {0, 1}."""
+    inside = (p > 0.0) & (p < 1.0)
+    q = np.where(inside, p, 0.5)
+    h = np.where(inside, -q * np.log(q) - (1.0 - q) * np.log(1.0 - q), 0.0)
+    return h.mean(axis=-1) / np.log(2.0)
+
+
+def score_dataset(xs: np.ndarray, params: nn.ModelParams, task: str,
                   unknown) -> np.ndarray:
-    """Per-sample entropy under the given model, in dataset order."""
-    xs = np.stack([s.x for s in dataset])
+    """Per-row entropy of the (n, d) inputs under the given model.
+
+    Multi-label rows of a client with no unknown class all score 0, so
+    the split falls back to index order.
+    """
     logits = nn.forward(params, xs).logits
     if task == "single":
-        probs = nn.softmax(logits)
-        return np.array([entropy_single(p) for p in probs])
-    probs = nn.sigmoid(logits)
-    return np.array([entropy_multi(p, unknown) for p in probs])
+        return _entropy_rows(nn.softmax(logits))
+    unknown = list(unknown)
+    if not unknown:
+        return np.zeros(len(xs))
+    # Column selection yields a column-major copy; row means over it would
+    # be summed in a different order than one row at a time.
+    return _binary_entropy_rows(
+        np.ascontiguousarray(nn.sigmoid(logits)[:, unknown]))
 
 
-def partition(dataset: list[Sample], global_params: nn.ModelParams, task: str,
+def partition(xs: np.ndarray, global_params: nn.ModelParams, task: str,
               unknown, frac_l: float, frac_h: float) -> UncertaintyPartition:
-    """Split the dataset into confident / medium / uncertain index sets.
+    """Split the (n, d) inputs into confident / medium / uncertain row sets.
 
     Sizes are round(frac_l * n) and round(frac_h * n); the uncertain count
     is clamped so both never overlap after rounding.
@@ -75,10 +88,10 @@ def partition(dataset: list[Sample], global_params: nn.ModelParams, task: str,
     if frac_l < 0 or frac_h < 0 or frac_l + frac_h > 1.0:
         raise ConfigError(
             f"need frac_l + frac_h <= 1, got {frac_l} + {frac_h}")
-    if not dataset:
+    if len(xs) == 0:
         raise ConfigError("cannot partition an empty dataset")
-    scores = score_dataset(dataset, global_params, task, unknown)
-    n = len(dataset)
+    scores = score_dataset(xs, global_params, task, unknown)
+    n = len(xs)
     n_l = int(round(frac_l * n))
     n_h = min(int(round(frac_h * n)), n - n_l)
     order = np.argsort(scores, kind="stable")  # ties keep ascending index

@@ -196,7 +196,8 @@ def test_entropy_and_partition_invariants(capsys):
                    for _ in range(n)]
         frac_l = float(rng.uniform(0, 0.6))
         frac_h = float(rng.uniform(0, 1.0 - frac_l))
-        part = partition(dataset, params, "single", tuple(unknown),
+        part = partition(np.stack([s.x for s in dataset]), params, "single",
+                         tuple(unknown),
                          frac_l, frac_h)
         n_l = int(round(frac_l * n))
         n_h = min(int(round(frac_h * n)), n - n_l)
@@ -233,7 +234,9 @@ def test_unknown_labels_cannot_leak_into_supervised_loss(capsys):
         labels = [LabelRecord(values=values[i], known_mask=known[i])
                   for i in range(n)]
         cache = nn.forward(params, batch)
-        _, dlogits = loss_identified(cache.logits, labels, "multi")
+        _, dlogits = loss_identified(
+            cache.logits, np.stack([r.values for r in labels]),
+            np.stack([r.known_mask for r in labels]), "multi")
         grads = nn.backward(params, cache, dlogits)
         fully_unknown = ~known.any(axis=0)
         assert (grads.proxies[fully_unknown] == 0.0).all()
@@ -252,11 +255,13 @@ def test_unknown_labels_cannot_leak_into_supervised_loss(capsys):
             else:
                 slabels.append(LabelRecord(values=np.zeros(m),
                                            known_mask=np.zeros(m, dtype=bool)))
-        loss_a, dl = loss_identified(cache.logits, slabels, "single")
+        svalues = np.stack([r.values for r in slabels])
+        sknown = np.stack([r.known_mask for r in slabels])
+        loss_a, dl = loss_identified(cache.logits, svalues, sknown, "single")
         assert (dl[~labeled_mask] == 0.0).all()
         poked = cache.logits.copy()
         poked[~labeled_mask] += rng.normal(size=(int((~labeled_mask).sum()), m)) * 10
-        loss_b, _ = loss_identified(poked, slabels, "single")
+        loss_b, _ = loss_identified(poked, svalues, sknown, "single")
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
     announce(capsys, "supervised-loss leak freedom", True,
              f"{cases} random batches, unknown-class gradients exactly zero")

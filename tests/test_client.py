@@ -7,7 +7,7 @@ import pytest
 
 from fedlsm import nn
 from fedlsm.client import (ClientConfig, PseudoLabelDecision,
-                           compute_class_weights, local_train,
+                           _track_verdicts, compute_class_weights, local_train,
                            loss_identified, loss_ude, loss_unknown, mixup,
                            pseudo_multi, pseudo_single, ude_batch)
 from fedlsm.data import (AugmentConfig, ClientSpec, FederationConfig,
@@ -40,6 +40,18 @@ def unit_label(m, c):
 
 def unlabeled(m):
     return LabelRecord(values=np.zeros(m), known_mask=np.zeros(m, dtype=bool))
+
+
+def stacked(records):
+    """(values, known) arrays of a list of label records."""
+    return (np.stack([r.values for r in records]),
+            np.stack([r.known_mask for r in records]))
+
+
+def client_arrays(samples):
+    """(x, values, known) arrays of a list of samples."""
+    return (np.stack([s.x for s in samples]),
+            *stacked([s.label for s in samples]))
 
 
 # ------------------------------------------------------------- pseudo labels
@@ -80,18 +92,18 @@ def test_pseudo_multi_threshold_order_checked():
 
 def test_loss_identified_single_oracle():
     logits = np.array([[0.0, 0.0]])
-    loss, dlogits = loss_identified(logits, [unit_label(2, 0)], "single")
+    loss, dlogits = loss_identified(logits, *stacked([unit_label(2, 0)]), "single")
     assert loss == pytest.approx(LN2)
     assert np.allclose(dlogits, [[-0.5, 0.5]])
 
 
 def test_loss_identified_single_skips_unlabeled_rows():
     logits = np.array([[3.0, -1.0], [0.0, 0.0]])
-    loss, dlogits = loss_identified(logits, [unlabeled(2), unit_label(2, 1)],
+    loss, dlogits = loss_identified(logits, *stacked([unlabeled(2), unit_label(2, 1)]),
                                     "single")
     assert (dlogits[0] == 0).all()
     assert loss == pytest.approx(LN2)
-    loss0, dl0 = loss_identified(logits, [unlabeled(2), unlabeled(2)],
+    loss0, dl0 = loss_identified(logits, *stacked([unlabeled(2), unlabeled(2)]),
                                  "single")
     assert loss0 == 0.0 and (dl0 == 0).all()
 
@@ -100,10 +112,10 @@ def test_loss_identified_multi_oracle_and_weights():
     logits = np.zeros((1, 2))
     rec = LabelRecord(values=np.array([1.0, 0.0]),
                       known_mask=np.array([True, False]))
-    loss, dlogits = loss_identified(logits, [rec], "multi")
+    loss, dlogits = loss_identified(logits, *stacked([rec]), "multi")
     assert loss == pytest.approx(LN2)
     assert np.allclose(dlogits, [[-0.5, 0.0]])
-    loss_w, dl_w = loss_identified(logits, [rec], "multi",
+    loss_w, dl_w = loss_identified(logits, *stacked([rec]), "multi",
                                    class_weights=np.array([3.0, 1.0]))
     assert loss_w == pytest.approx(3 * LN2)
     assert np.allclose(dl_w, [[-1.5, 0.0]])
@@ -163,7 +175,7 @@ def test_loss_gradients_match_finite_differences(task):
         labels = [LabelRecord(values=np.where(l.known_mask, l.values, 0.0),
                               known_mask=l.known_mask) for l in labels]
     err = nn.gradcheck(params, batch,
-                       lambda z: loss_identified(z, labels, task))
+                       lambda z: loss_identified(z, *stacked(labels), task))
     assert err < 1e-5
 
 
@@ -224,7 +236,7 @@ def _mix_setup(task, confident_high):
 
 def test_ude_batch_single_builds_convex_pairs():
     samples, part, teacher, spec, cfg = _mix_setup("single", True)
-    xs, ys, valid = ude_batch(samples, part, teacher, spec, cfg,
+    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 3 and valid is None
     for y in ys:
@@ -236,14 +248,14 @@ def test_ude_batch_single_builds_convex_pairs():
 
 def test_ude_batch_single_rejects_unconfident_members():
     samples, part, teacher, spec, cfg = _mix_setup("single", False)
-    xs, ys, valid = ude_batch(samples, part, teacher, spec, cfg,
+    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 0
 
 
 def test_ude_batch_multi_validity_mask():
     samples, part, teacher, spec, cfg = _mix_setup("multi", True)
-    xs, ys, valid = ude_batch(samples, part, teacher, spec, cfg,
+    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 3
     # known class 0 only on the low member; the high member must earn it
@@ -254,8 +266,10 @@ def test_ude_batch_multi_validity_mask():
 
 def test_ude_batch_deterministic():
     samples, part, teacher, spec, cfg = _mix_setup("single", True)
-    a = ude_batch(samples, part, teacher, spec, cfg, np.random.default_rng(7))
-    b = ude_batch(samples, part, teacher, spec, cfg, np.random.default_rng(7))
+    a = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+                  np.random.default_rng(7))
+    b = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+                  np.random.default_rng(7))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -381,7 +395,216 @@ def test_compute_class_weights_multi():
                               label=LabelRecord(
                                   values=np.where([1, 1, 0], values, 0.0),
                                   known_mask=np.array([True, True, False]))))
-    w = compute_class_weights(samples, spec)
+    w = compute_class_weights(*client_arrays(samples)[1:], spec.identified)
     assert w[0] == pytest.approx(3.0)
     assert w[1] == pytest.approx(1.0)
     assert w[2] == 1.0
+
+
+# ------------------------------------------- per-row reference equivalence
+#
+# The reference functions below are the per-sample loops the array code
+# replaced.  The array code must reproduce them bit for bit and draw the
+# same random numbers in the same order.
+
+def reference_loss_identified_single(logits, labels):
+    labeled = np.array([rec.known_mask.any() for rec in labels])
+    count = int(labeled.sum())
+    if count == 0:
+        return 0.0, np.zeros_like(logits)
+    log_p = nn.log_softmax(logits)
+    probs = np.exp(log_p)
+    dlogits = np.zeros_like(logits)
+    loss = 0.0
+    for i in np.flatnonzero(labeled):
+        y = int(np.argmax(labels[i].values))
+        loss -= log_p[i, y]
+        dlogits[i] = probs[i]
+        dlogits[i, y] -= 1.0
+    return float(loss / count), dlogits / count
+
+
+def reference_loss_unknown_single(logits, decisions, denom=None):
+    kept_idx = np.flatnonzero(decisions.kept)
+    if denom is None:
+        denom = len(kept_idx)
+    if denom == 0 or len(kept_idx) == 0:
+        return 0.0, np.zeros_like(logits)
+    log_p = nn.log_softmax(logits)
+    probs = np.exp(log_p)
+    dlogits = np.zeros_like(logits)
+    loss = 0.0
+    for i in kept_idx:
+        y = int(decisions.klass[i])
+        loss -= log_p[i, y]
+        dlogits[i] = probs[i]
+        dlogits[i, y] -= 1.0
+    return float(loss / denom), dlogits / denom
+
+
+def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
+    xs = np.stack([dataset[i].x for i in indices])
+    x_weak = xs + cfg.augment.sigma_weak * rng.standard_normal(xs.shape)
+    m = teacher.num_classes
+    labels = np.zeros((len(indices), m))
+    if cfg.task == "single":
+        probs = nn.softmax(nn.forward(teacher, x_weak).logits)
+        usable = np.zeros(len(indices), dtype=bool)
+        for j, i in enumerate(indices):
+            rec = dataset[i].label
+            if rec.known_mask.any():
+                labels[j] = rec.values
+                usable[j] = True
+            elif probs[j].max() >= cfg.tau_l:
+                labels[j, int(probs[j].argmax())] = 1.0
+                usable[j] = True
+        return labels, usable
+    probs = nn.sigmoid(nn.forward(teacher, x_weak).logits)
+    valid = np.zeros((len(indices), m), dtype=bool)
+    for j, i in enumerate(indices):
+        rec = dataset[i].label
+        labels[j] = np.where(rec.known_mask, rec.values, 0.0)
+        valid[j] = rec.known_mask.copy()
+        for c in spec.unknown:
+            if probs[j, c] >= cfg.tau_lp:
+                labels[j, c] = 1.0
+                valid[j, c] = True
+            elif probs[j, c] <= cfg.tau_ln:
+                valid[j, c] = True
+    return labels, valid
+
+
+def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
+    m = teacher.num_classes
+    empty = (np.zeros((0, dataset[0].x.shape[0])), np.zeros((0, m)), None)
+    if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
+        return empty
+    xs_mix, ys_mix, valids = [], [], []
+    need = cfg.ude_batch_size
+    for _ in range(4):
+        if need == 0:
+            break
+        low_idx = rng.choice(part.low, size=need, replace=True)
+        high_idx = rng.choice(part.high, size=need, replace=True)
+        y_low, ok_low = reference_member_labels(dataset, low_idx, teacher,
+                                                spec, cfg, rng)
+        y_high, ok_high = reference_member_labels(dataset, high_idx, teacher,
+                                                  spec, cfg, rng)
+        lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
+        kept = 0
+        for j in range(need):
+            if cfg.task == "single":
+                if not (ok_low[j] and ok_high[j]):
+                    continue
+                pair_valid = None
+            else:
+                pair_valid = ok_low[j] & ok_high[j]
+                if not pair_valid.any():
+                    continue
+            lam = float(lams[j])
+            xs_mix.append(lam * dataset[low_idx[j]].x
+                          + (1.0 - lam) * dataset[high_idx[j]].x)
+            ys_mix.append(lam * y_low[j] + (1.0 - lam) * y_high[j])
+            valids.append(pair_valid)
+            kept += 1
+        need -= kept
+    if not xs_mix:
+        return empty
+    valid_arr = None if cfg.task == "single" else np.stack(valids)
+    return np.stack(xs_mix), np.stack(ys_mix), valid_arr
+
+
+def random_single_labels(rng, n, m):
+    labels = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            labels.append(unit_label(m, int(rng.integers(m))))
+        else:
+            labels.append(unlabeled(m))
+    return labels
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_single_label_losses_match_per_row_reference_exactly(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 64, 7
+    logits = rng.normal(size=(n, m)) * 4
+    labels = random_single_labels(rng, n, m)
+    got = loss_identified(logits, *stacked(labels), "single")
+    want = reference_loss_identified_single(logits, labels)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+
+    dec = PseudoLabelDecision(kept=rng.random(n) < 0.4,
+                              klass=rng.integers(m, size=n))
+    for denom in (None, n):
+        got = loss_unknown(logits, dec, "single", denom)
+        want = reference_loss_unknown_single(logits, dec, denom)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def reference_setup(task, seed):
+    rng = np.random.default_rng(seed)
+    n, d, m = 40, 4, 5
+    teacher = nn.init_params([d, 6], m, seed=seed)
+    teacher.proxies *= 6.0  # a mix of confident and unconfident members
+    identified = (0, 2)
+    spec = ClientSpec(client_id=0, identified=identified, unknown=(1, 3, 4),
+                      n_samples=n)
+    if task == "single":
+        labels = random_single_labels(rng, n, m)
+    else:
+        # sparse trust masks, so some pairs share no usable class
+        labels = []
+        for _ in range(n):
+            known = rng.random(m) < 0.2
+            labels.append(LabelRecord(
+                values=np.where(known, rng.random(m) < 0.4, 0.0),
+                known_mask=known))
+    dataset = [Sample(x=rng.normal(size=d) * 2, true_label=np.eye(m)[0],
+                      label=rec) for rec in labels]
+    order = rng.permutation(n)
+    part = UncertaintyPartition(low=order[:20], mid=order[20:32],
+                                high=order[32:], entropy=np.zeros(n))
+    cfg = ClientConfig(task=task, ude_batch_size=8, tau=0.95, tau_l=0.8,
+                       tau_lp=0.9, tau_ln=0.01, mixup_alpha=0.4)
+    return dataset, part, teacher, spec, cfg
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(4))
+def test_ude_batch_matches_per_row_reference_exactly(task, seed):
+    dataset, part, teacher, spec, cfg = reference_setup(task, seed)
+    rng_a = np.random.default_rng(100 + seed)
+    rng_b = np.random.default_rng(100 + seed)
+    got = ude_batch(*client_arrays(dataset), part, teacher, spec, cfg, rng_a)
+    want = reference_ude_batch(dataset, part, teacher, spec, cfg, rng_b)
+    assert got[0].shape[0] > 0
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    if task == "single":
+        assert got[2] is None and want[2] is None
+    else:
+        assert got[2].tobytes() == want[2].tobytes()
+    # the same number of random draws was consumed
+    assert rng_a.random() == rng_b.random()
+
+
+def test_verdict_tracking_matches_per_row_reference():
+    rng = np.random.default_rng(8)
+    n, m = 12, 4
+    tracked = np.zeros((n, m), dtype=bool)
+    reference = {}
+    for _ in range(6):
+        # drawn with replacement, so samples repeat within a batch
+        batch_idx = rng.integers(n, size=20)
+        hits = rng.random((20, m)) < 0.15
+        _track_verdicts(tracked, batch_idx, hits)
+        for j, i in enumerate(batch_idx):
+            if hits[j].any():
+                reference[int(i)] = hits[j]
+    want = np.zeros((n, m), dtype=bool)
+    for i, pos in reference.items():
+        want[i] = pos
+    assert np.array_equal(tracked, want)

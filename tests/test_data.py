@@ -177,3 +177,19 @@ def test_federation_config_validation():
         tiny_cfg(task="triple").validate()
     with pytest.raises(ConfigError, match="classes_per_client"):
         tiny_cfg(classes_per_client=9).validate()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_features(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,y0,mask0,true0\n0.5,1,1,1\n{cell},1,1,1\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:3: non-finite"):
+        load_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["2", "-1"])
+def test_csv_rejects_mask_cells_other_than_0_or_1(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,y0,mask0,true0\n0.5,1,{cell},1\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:2: mask"):
+        load_csv(str(path))

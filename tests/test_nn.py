@@ -177,3 +177,50 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ParseError, match="truncated"):
         nn.load_params(str(path))
+
+
+def _checkpoint_blob(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nn.save_params(small_net(), str(path))
+    return path, path.read_bytes()
+
+
+def test_checkpoint_rejects_truncated_header(tmp_path):
+    path, blob = _checkpoint_blob(tmp_path)
+    path.write_bytes(blob[:10])
+    with pytest.raises(ParseError, match=r"model\.ckpt: truncated header"):
+        nn.load_params(str(path))
+    path.write_bytes(blob[:18])  # cuts into the layer dimensions
+    with pytest.raises(ParseError, match=r"model\.ckpt: truncated header"):
+        nn.load_params(str(path))
+
+
+def test_checkpoint_rejects_zero_dims(tmp_path):
+    path, blob = _checkpoint_blob(tmp_path)
+    path.write_bytes(blob[:8] + (0).to_bytes(4, "little") + blob[12:])
+    with pytest.raises(ParseError, match=r"model\.ckpt: .*layer dimension"):
+        nn.load_params(str(path))
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, blob = _checkpoint_blob(tmp_path)
+    path.write_bytes(blob + b"\0" * 8)
+    with pytest.raises(ParseError, match=r"model\.ckpt: 8 trailing bytes"):
+        nn.load_params(str(path))
+
+
+def test_checkpoint_rejects_fewer_than_two_classes(tmp_path):
+    path, blob = _checkpoint_blob(tmp_path)
+    path.write_bytes(blob[:12] + (1).to_bytes(4, "little") + blob[16:])
+    with pytest.raises(ParseError, match=r"model\.ckpt: num_classes"):
+        nn.load_params(str(path))
+
+
+def test_backward_returns_fresh_gradients_in_layer_order():
+    p = small_net(seed=4)
+    batch = np.random.default_rng(4).normal(size=(5, 4))
+    cache = nn.forward(p, batch)
+    grads = nn.backward(p, cache, np.ones_like(cache.logits))
+    assert [g.shape for g, _ in grads.layers] == [w.shape for w, _ in p.layers]
+    assert [g.shape for _, g in grads.layers] == [b.shape for _, b in p.layers]
+    assert grads.proxies.shape == p.proxies.shape

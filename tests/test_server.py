@@ -174,3 +174,14 @@ def test_evaluate_requires_data():
     params = nn.init_params([4, 6], 3, seed=0)
     with pytest.raises(ConfigError):
         evaluate(params, [], "single")
+
+
+def test_multi_label_fedlsm_when_a_client_identifies_every_class():
+    fed = gen_federation(FederationConfig(
+        n_clients=2, n_classes=3, classes_per_client=3, feature_dim=4,
+        samples_per_client=24, n_val=10, n_test=30, task="multi", seed=0))
+    assert all(spec.unknown == () for spec in fed.specs)
+    res = run_federation(fed, quick_client_cfg(), rounds=1, mode="fedlsm",
+                         seed=0, hidden_dims=(6,))
+    assert len(res.reports) == 1
+    assert np.isfinite(res.reports[0].metrics.macro_auc)

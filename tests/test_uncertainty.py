@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from fedlsm import nn
-from fedlsm.data import LabelRecord, Sample
 from fedlsm.errors import ConfigError
 from fedlsm.uncertainty import (entropy_multi, entropy_single, partition,
                                 score_dataset)
 
 
 def make_dataset(xs):
-    m = 3
-    return [Sample(x=np.asarray(x, dtype=np.float64),
-                   true_label=np.eye(m)[0],
-                   label=LabelRecord(values=np.eye(m)[0],
-                                     known_mask=np.ones(m, dtype=bool)))
-            for x in xs]
+    """The (n, d) input matrix that partition and score_dataset take."""
+    return np.asarray(xs, dtype=np.float64).reshape(len(xs), -1)
 
 
 def test_entropy_single_oracle():
@@ -83,7 +78,7 @@ def test_partition_tie_break_is_stable():
 def test_partition_rejects_bad_inputs():
     params = nn.init_params([2, 4], 3, seed=0)
     with pytest.raises(ConfigError):
-        partition([], params, "single", (1,), 0.3, 0.2)
+        partition(np.zeros((0, 2)), params, "single", (1,), 0.3, 0.2)
     dataset = make_dataset([[0.0, 0.0]])
     with pytest.raises(ConfigError):
         partition(dataset, params, "single", (1,), 0.7, 0.7)
@@ -97,3 +92,31 @@ def test_score_dataset_multi_uses_unknown_columns():
     assert s01.shape == (5,)
     assert not np.allclose(s01, s2)
     assert (s01 >= 0).all() and (s01 <= 1).all()
+
+
+@pytest.mark.parametrize("m", [3, 7, 11])
+def test_score_dataset_matches_per_row_entropies_exactly(m):
+    rng = np.random.default_rng(m)
+    params = nn.init_params([4, 6], m, seed=m)
+    params.proxies *= 8.0  # spread the outputs from near-uniform to saturated
+    xs = rng.normal(size=(64, 4)) * 3
+    logits = nn.forward(params, xs).logits
+    single = np.array([entropy_single(p) for p in nn.softmax(logits)])
+    assert score_dataset(xs, params, "single", ()).tobytes() == \
+        single.tobytes()
+    for unknown in ([0], [1, 2], list(range(m - 1))):
+        multi = np.array([entropy_multi(p, unknown)
+                          for p in nn.sigmoid(logits)])
+        assert score_dataset(xs, params, "multi", unknown).tobytes() == \
+            multi.tobytes()
+
+
+def test_multi_label_client_with_no_unknown_class_splits_by_index():
+    params = nn.init_params([2, 4], 3, seed=4)
+    xs = make_dataset(np.random.default_rng(4).normal(size=(6, 2)))
+    assert (score_dataset(xs, params, "multi", ()) == 0.0).all()
+    part = partition(xs, params, "multi", (), 0.5, 0.5)
+    assert part.low.tolist() == [0, 1, 2]
+    assert part.high.tolist() == [3, 4, 5]
+    with pytest.raises(ConfigError, match="nonempty"):
+        entropy_multi(np.array([0.5, 0.5]), [])
