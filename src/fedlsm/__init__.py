@@ -10,8 +10,8 @@ each class a client actually saw.
 
 from .client import ClientConfig, ClientUpdate, local_train
 from .config import ExperimentConfig, config_from_dict, load_config
-from .data import (AugmentConfig, Federation, FederationConfig, LabelRecord,
-                   Sample, gen_federation)
+from .data import (AugmentConfig, ClientData, EvalSet, Federation,
+                   FederationConfig, gen_federation)
 from .errors import (AggregationError, ConfigError, NumericError, ParseError,
                      ShapeError)
 from .metrics import EvalResult, macro_metrics, roc_auc
@@ -23,10 +23,10 @@ from .uncertainty import entropy_multi, entropy_single, partition
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationError", "AugmentConfig", "ClientConfig", "ClientUpdate",
-    "ConfigError", "EvalResult", "ExperimentConfig", "Federation",
-    "FederationConfig", "FederationResult", "LabelRecord", "ModelParams",
-    "NumericError", "ParseError", "Sample", "ShapeError", "aggregate",
+    "AggregationError", "AugmentConfig", "ClientConfig", "ClientData",
+    "ClientUpdate", "ConfigError", "EvalResult", "EvalSet",
+    "ExperimentConfig", "Federation", "FederationConfig", "FederationResult",
+    "ModelParams", "NumericError", "ParseError", "ShapeError", "aggregate",
     "config_from_dict", "entropy_multi", "entropy_single", "forward",
     "gen_federation", "gradcheck", "init_params", "load_config",
     "load_params", "local_train", "macro_metrics", "partition", "roc_auc",

@@ -205,14 +205,16 @@ def cmd_gen_data(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     fed = gen_federation(cfg.federation)
     files = {}
-    for spec, dataset in zip(fed.specs, fed.clients):
+    for spec, client, truth in zip(fed.specs, fed.clients, fed.truth):
         name = f"client{spec.client_id}.csv"
-        save_csv(dataset, str(outdir / name))
+        save_csv(str(outdir / name), client.x, client.values, client.known,
+                 truth)
         files[name] = {"client_id": spec.client_id,
                        "identified": list(spec.identified),
                        "n_samples": spec.n_samples}
-    save_csv(fed.val, str(outdir / "val.csv"))
-    save_csv(fed.test, str(outdir / "test.csv"))
+    for name, held_out in (("val", fed.val), ("test", fed.test)):
+        save_csv(str(outdir / f"{name}.csv"), held_out.x, held_out.truth,
+                 np.ones(held_out.truth.shape, dtype=bool), held_out.truth)
     manifest = {"federation": config_to_dict(cfg)["federation"],
                 "clients": files, "n_val": len(fed.val),
                 "n_test": len(fed.test)}

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .data import (AugmentConfig, ClientSpec, Sample, augment_strong_batch,
-                   augment_weak_batch)
+from .data import (AugmentConfig, ClientData, ClientSpec,
+                   augment_strong_batch, augment_weak_batch)
 from .errors import ConfigError, NumericError
 from .uncertainty import UncertaintyPartition, partition
 
@@ -117,6 +117,13 @@ class ClientUpdate:
     edd: np.ndarray  # per-class count vector: labels for identified classes,
     #                  confident pseudo labels for unknown ones
     stats: dict = field(default_factory=dict)
+
+
+def _draw_with_replacement(pool: np.ndarray, k: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """k entries of pool drawn with replacement: the same entries, and the
+    same generator state after, as rng.choice(pool, k), in fewer steps."""
+    return pool[rng.integers(0, len(pool), size=k)]
 
 
 def _class_mask(m: int, classes) -> np.ndarray:
@@ -330,8 +337,8 @@ def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
     for _ in range(UDE_RETRY_ROUNDS):
         if need == 0:
             break
-        low_idx = rng.choice(part.low, size=need, replace=True)
-        high_idx = rng.choice(part.high, size=need, replace=True)
+        low_idx = _draw_with_replacement(part.low, need, rng)
+        high_idx = _draw_with_replacement(part.high, need, rng)
         members = np.concatenate([low_idx, high_idx])
         # One draw of 2*need weak views is the same stream as a draw for
         # the low members followed by one for the high members.
@@ -401,7 +408,7 @@ def _track_verdicts(tracked: np.ndarray, batch_idx: np.ndarray,
     tracked[batch_idx[rows]] = hits[rows]
 
 
-def local_train(global_params: nn.ModelParams, dataset: list[Sample],
+def local_train(global_params: nn.ModelParams, data: ClientData,
                 spec: ClientSpec, cfg: ClientConfig, round_idx: int,
                 seed: int) -> ClientUpdate:
     """Run one client round and emit the update for the server.
@@ -416,13 +423,11 @@ def local_train(global_params: nn.ModelParams, dataset: list[Sample],
     training iterations (so zero local iterations means zero pseudo
     counts).
     """
-    if not dataset:
+    if len(data) == 0:
         raise ConfigError(f"client {spec.client_id}: empty dataset")
     cfg.validate()
     m = global_params.num_classes
-    x = np.stack([s.x for s in dataset])
-    values = np.stack([s.label.values for s in dataset])
-    known = np.stack([s.label.known_mask for s in dataset])
+    x, values, known = data.x, data.values, data.known
     unlabeled = ~known.any(axis=1)
     rng = np.random.default_rng([seed, round_idx, spec.client_id])
     lr_t = cfg.lr / (1.0 + cfg.lr_decay * round_idx)
@@ -446,21 +451,23 @@ def local_train(global_params: nn.ModelParams, dataset: list[Sample],
     elif cfg.task == "single":
         pool = np.flatnonzero(~unlabeled)
     else:
-        pool = np.arange(len(dataset))
+        pool = np.arange(len(data))
 
     epoch_iters = max(1, math.ceil(pool.size / cfg.batch_size))
     edd_window_start = max(0, cfg.local_iters - epoch_iters)
     # per sample: the positive classes of its latest confident pseudo
     # verdict inside the window
-    tracked = np.zeros((len(dataset), m), dtype=bool)
+    tracked = np.zeros((len(data), m), dtype=bool)
 
     loss_sums = np.zeros(3)
     kept_total = 0
     for it in range(cfg.local_iters):
         if pool.size == 0:
             break
-        batch_idx = rng.choice(pool, size=cfg.batch_size,
-                               replace=pool.size < cfg.batch_size)
+        if pool.size < cfg.batch_size:
+            batch_idx = _draw_with_replacement(pool, cfg.batch_size, rng)
+        else:
+            batch_idx = rng.choice(pool, size=cfg.batch_size, replace=False)
         x_batch = x[batch_idx]
         x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
         cache_w = nn.forward(student, x_weak)
@@ -523,4 +530,4 @@ def local_train(global_params: nn.ModelParams, dataset: list[Sample],
         "kept_pseudo": kept_total,
     }
     return ClientUpdate(client_id=spec.client_id, params=student,
-                        n_samples=len(dataset), edd=edd, stats=stats)
+                        n_samples=len(data), edd=edd, stats=stats)

@@ -25,23 +25,31 @@ COVERAGE_ATTEMPTS = 1000
 
 
 @dataclass
-class LabelRecord:
-    """Per-sample label vector plus the per-class trust mask.
+class ClientData:
+    """One client's training view, one row per sample.
 
-    values[c] is meaningful only where known_mask[c] is True; everywhere
-    else it is zero by construction.
+    values[i, c] is meaningful only where known[i, c] is True; everywhere
+    else it is zero by construction.  Ground truth is kept apart, so
+    training code cannot read it.
     """
 
-    values: np.ndarray
-    known_mask: np.ndarray
+    x: np.ndarray       # (n, d) inputs
+    values: np.ndarray  # (n, m) label values
+    known: np.ndarray   # (n, m) per-class trust mask
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass
-class Sample:
-    x: np.ndarray
-    label: LabelRecord
-    # Full ground truth, for evaluation only. Training code must not read it.
-    true_label: np.ndarray
+class EvalSet:
+    """Inputs with their full ground truth, for evaluation only."""
+
+    x: np.ndarray      # (n, d)
+    truth: np.ndarray  # (n, m)
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass
@@ -106,9 +114,12 @@ class FederationConfig:
 @dataclass
 class Federation:
     specs: list[ClientSpec]
-    clients: list[list[Sample]]  # masked per the owning client's spec
-    val: list[Sample]
-    test: list[Sample]
+    clients: list[ClientData]  # masked per the owning client's spec
+    # Each client's full labels, (n, m): for the fully labeled reference
+    # (fedavg_full) and diagnostics only, never for local training.
+    truth: list[np.ndarray]
+    val: EvalSet
+    test: EvalSet
     config: FederationConfig = None
 
 
@@ -141,33 +152,21 @@ def _sample_identified_sets(cfg: FederationConfig,
 
 
 def _draw_single_label(n: int, centers: np.ndarray, cfg: FederationConfig,
-                       rng: np.random.Generator) -> list[Sample]:
-    m = cfg.n_classes
-    classes = rng.integers(0, m, size=n)
+                       rng: np.random.Generator) -> EvalSet:
+    classes = rng.integers(0, cfg.n_classes, size=n)
     xs = centers[classes] + cfg.cluster_std * rng.standard_normal((n, cfg.feature_dim))
-    samples = []
-    for i in range(n):
-        truth = np.zeros(m)
-        truth[classes[i]] = 1.0
-        samples.append(Sample(x=xs[i], true_label=truth,
-                              label=LabelRecord(values=truth.copy(),
-                                                known_mask=np.ones(m, dtype=bool))))
-    return samples
+    truth = np.zeros((n, cfg.n_classes))
+    truth[np.arange(n), classes] = 1.0
+    return EvalSet(x=xs, truth=truth)
 
 
 def _draw_multi_label(n: int, directions: np.ndarray, threshold: float,
                       cfg: FederationConfig,
-                      rng: np.random.Generator) -> list[Sample]:
-    m = cfg.n_classes
+                      rng: np.random.Generator) -> EvalSet:
     xs = rng.standard_normal((n, cfg.feature_dim))
     projections = xs @ directions.T
-    labels = (projections >= threshold).astype(np.float64)
-    samples = []
-    for i in range(n):
-        samples.append(Sample(x=xs[i], true_label=labels[i],
-                              label=LabelRecord(values=labels[i].copy(),
-                                                known_mask=np.ones(m, dtype=bool))))
-    return samples
+    return EvalSet(x=xs,
+                   truth=(projections >= threshold).astype(np.float64))
 
 
 def gen_federation(cfg: FederationConfig) -> Federation:
@@ -200,50 +199,39 @@ def gen_federation(cfg: FederationConfig) -> Federation:
         def draw(n):
             return _draw_multi_label(n, directions, threshold, cfg, rng)
 
-    clients = [mask_labels(draw(cfg.samples_per_client), spec, cfg.task)
-               for spec in specs]
+    full = [draw(cfg.samples_per_client) for _ in specs]
+    clients = [mask_labels(f.x, f.truth, spec, cfg.task)
+               for f, spec in zip(full, specs)]
     val = draw(cfg.n_val)
     test = draw(cfg.n_test)
-    return Federation(specs=specs, clients=clients, val=val, test=test, config=cfg)
+    return Federation(specs=specs, clients=clients,
+                      truth=[f.truth for f in full], val=val, test=test,
+                      config=cfg)
 
 
-def mask_labels(dataset: list[Sample], spec: ClientSpec, task: str) -> list[Sample]:
-    """Apply the client's identified-class view to full labels.
+def mask_labels(x: np.ndarray, truth: np.ndarray, spec: ClientSpec,
+                task: str) -> ClientData:
+    """Apply the client's identified-class view to full (n, m) labels.
 
-    Multi-label: mask is True exactly on identified classes, values are
-    zeroed elsewhere.  Single-label: a sample keeps its one-hot label only
-    when its hidden class is identified; otherwise it is fully unlabeled.
+    Multi-label: the mask is True exactly on identified classes, values
+    are zeroed elsewhere.  Single-label: a row keeps its one-hot label
+    only when its hidden class is identified; otherwise it is fully
+    unlabeled.
     """
-    if not dataset:
-        return []
-    identified = np.zeros(len(dataset[0].true_label), dtype=bool)
-    for c in spec.identified:
-        identified[c] = True
-    out = []
-    for s in dataset:
-        if task == "multi":
-            mask = identified.copy()
-            values = np.where(mask, s.true_label, 0.0)
-        else:
-            true_class = int(np.argmax(s.true_label))
-            if identified[true_class]:
-                mask = np.ones_like(identified)
-                values = s.true_label.copy()
-            else:
-                mask = np.zeros_like(identified)
-                values = np.zeros_like(s.true_label)
-        out.append(Sample(x=s.x, true_label=s.true_label,
-                          label=LabelRecord(values=values, known_mask=mask)))
-    return out
+    identified = np.zeros(truth.shape[1], dtype=bool)
+    identified[list(spec.identified)] = True
+    if task == "multi":
+        known = np.tile(identified, (len(truth), 1))
+    else:
+        has_label = identified[truth.argmax(axis=1)]
+        known = np.repeat(has_label[:, None], truth.shape[1], axis=1)
+    return ClientData(x=x, values=np.where(known, truth, 0.0), known=known)
 
 
-def unmask_labels(dataset: list[Sample]) -> list[Sample]:
+def unmask_labels(x: np.ndarray, truth: np.ndarray) -> ClientData:
     """Restore full supervision (the fully-labeled upper-bound setting)."""
-    return [Sample(x=s.x, true_label=s.true_label,
-                   label=LabelRecord(values=s.true_label.copy(),
-                                     known_mask=np.ones(len(s.true_label),
-                                                        dtype=bool)))
-            for s in dataset]
+    return ClientData(x=x, values=truth.copy(),
+                      known=np.ones(truth.shape, dtype=bool))
 
 
 def _weak_noise(x: np.ndarray, rng: np.random.Generator,
@@ -286,55 +274,52 @@ def augment_strong_batch(xs: np.ndarray, rng: np.random.Generator,
     return _strong_noise(xs, rng, cfg)
 
 
-def save_csv(dataset: list[Sample], path: str) -> None:
-    """Write samples as rows: d features, M label values, M masks, M truths."""
+def save_csv(path: str, x: np.ndarray, values: np.ndarray,
+             known: np.ndarray, truth: np.ndarray) -> None:
+    """Write rows of d features, M label values, M masks, M truths."""
+    d, m = x.shape[1], truth.shape[1]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        if not dataset:
-            return
-        d = len(dataset[0].x)
-        m = len(dataset[0].true_label)
         writer.writerow([f"x{i}" for i in range(d)]
                         + [f"y{c}" for c in range(m)]
                         + [f"mask{c}" for c in range(m)]
                         + [f"true{c}" for c in range(m)])
-        for s in dataset:
-            writer.writerow([repr(float(v)) for v in s.x]
-                            + [int(v) for v in s.label.values]
-                            + [int(v) for v in s.label.known_mask]
-                            + [int(v) for v in s.true_label])
+        for row in zip(x, values, known, truth):
+            writer.writerow([repr(float(v)) for v in row[0]]
+                            + [int(v) for part in row[1:] for v in part])
 
 
-def load_csv(path: str) -> list[Sample]:
-    """Inverse of save_csv.  Raises ParseError naming the offending line."""
+def load_csv(path: str) -> tuple[ClientData, np.ndarray]:
+    """Inverse of save_csv -> (rows, truth).  Raises ParseError naming the
+    offending line.  An empty file holds zero rows of zero columns."""
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     if not rows:
-        return []
+        return ClientData(x=np.zeros((0, 0)), values=np.zeros((0, 0)),
+                          known=np.zeros((0, 0), dtype=bool)), np.zeros((0, 0))
     header = rows[0]
     d = sum(1 for name in header if name.startswith("x"))
     m = sum(1 for name in header if name.startswith("y"))
     expected = d + 3 * m
     if d == 0 or m == 0 or len(header) != expected:
         raise ParseError(f"{path}:1: malformed header")
-    samples = []
+    cells = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != expected:
             raise ParseError(f"{path}:{lineno}: expected {expected} columns, "
                              f"got {len(row)}")
         try:
-            x = np.array([float(v) for v in row[:d]])
-            values = np.array([float(v) for v in row[d:d + m]])
+            floats = [float(v) for v in row[:d + m]]
             mask_ints = [int(v) for v in row[d + m:d + 2 * m]]
-            truth = np.array([float(v) for v in row[d + 2 * m:]])
+            truth = [float(v) for v in row[d + 2 * m:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not (np.isfinite(x).all() and np.isfinite(values).all()
-                and np.isfinite(truth).all()):
+        if not np.isfinite(floats + truth).all():
             raise ParseError(f"{path}:{lineno}: non-finite value")
         if any(v not in (0, 1) for v in mask_ints):
             raise ParseError(f"{path}:{lineno}: mask cells must be 0 or 1")
-        mask = np.array(mask_ints, dtype=bool)
-        samples.append(Sample(x=x, true_label=truth,
-                              label=LabelRecord(values=values, known_mask=mask)))
-    return samples
+        cells.append(floats + mask_ints + truth)
+    table = np.array(cells, dtype=np.float64).reshape(-1, expected)
+    data = ClientData(x=table[:, :d].copy(), values=table[:, d:d + m].copy(),
+                      known=table[:, d + m:d + 2 * m].astype(bool))
+    return data, table[:, d + 2 * m:].copy()

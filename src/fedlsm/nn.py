@@ -6,8 +6,11 @@ per-class weight vectors we call proxies.  tanh was chosen over ReLU
 because it is smooth everywhere, which keeps central finite differences
 honest in the gradient checks.
 
-All arithmetic is float64.  Parameters and gradients are immutable by
-convention: every operation returns fresh arrays.
+All arithmetic is float64.  A model is one parameter vector in
+checkpoint order (W0, b0, W1, b1, ..., proxies, proxy_bias) with
+per-layer views for forward/backward, so Adam, EMA and parameter sums are
+single array expressions.  Parameters and gradients are immutable by
+convention: every operation returns a fresh vector.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,51 +28,80 @@ CHECKPOINT_MAGIC = b"NNCP"
 CHECKPOINT_VERSION = 1
 
 
+@lru_cache(maxsize=8)
+def _layout(dims: tuple[int, ...],
+            num_classes: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(start, stop, shape) of each array in vector order: (W, b) per
+    feature layer, then the proxies and their bias."""
+    shapes = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    out, start = [], 0
+    for shape in [*shapes, (num_classes, dims[-1]), (num_classes,)]:
+        out.append((start, start + math.prod(shape), shape))
+        start += math.prod(shape)
+    return out
+
+
 @dataclass
 class ModelParams:
     """Feature-extractor layers plus the proxy classification layer.
 
-    layers: list of (W, b) with W shaped (fan_in, fan_out), b shaped (fan_out,).
-    proxies: (num_classes, feature_dim) matrix, one proxy vector per class.
-    proxy_bias: (num_classes,) bias vector.
+    flat: every parameter in one float64 vector, in checkpoint order.
+    dims: input dimension, then each feature layer's width; the last
+    entry is the feature dimension.
 
-    The same container is reused for gradient sets, which mirror the
-    parameter shapes exactly.
+    Views: layers is a list of (W, b) with W shaped (fan_in, fan_out);
+    proxies is (num_classes, feature_dim), one proxy vector per class;
+    proxy_bias is (num_classes,).  The same container holds gradient sets.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    proxies: np.ndarray
-    proxy_bias: np.ndarray
+    flat: np.ndarray
+    dims: tuple[int, ...]
+    num_classes: int
+    # (layers, proxies, proxy_bias) views, made on first use
+    _views: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    @classmethod
+    def from_arrays(cls, layers, proxies, proxy_bias) -> "ModelParams":
+        dims = ([layers[0][0].shape[0], *(w.shape[1] for w, _ in layers)]
+                if layers else [proxies.shape[1]])
+        parts = [a for pair in layers for a in pair] + [proxies, proxy_bias]
+        return cls(np.concatenate([np.ravel(a) for a in parts],
+                                  dtype=np.float64),
+                   tuple(dims), proxies.shape[0])
+
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """Another vector with this model's layout."""
+        return ModelParams(flat, self.dims, self.num_classes)
+
+    def _split(self) -> tuple:
+        flat = self.flat
+        v = [flat[start:stop].reshape(shape) for start, stop, shape
+             in _layout(self.dims, self.num_classes)]
+        self._views = (list(zip(v[:-2:2], v[1:-2:2])), v[-2], v[-1])
+        return self._views
 
     @property
-    def num_classes(self) -> int:
-        return self.proxies.shape[0]
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return (self._views or self._split())[0]
 
     @property
-    def feature_dim(self) -> int:
-        return self.proxies.shape[1]
+    def proxies(self) -> np.ndarray:
+        return (self._views or self._split())[1]
 
     @property
-    def layer_dims(self) -> list[int]:
-        dims = [self.layers[0][0].shape[0]] if self.layers else [self.feature_dim]
-        for w, _ in self.layers:
-            dims.append(w.shape[1])
-        return dims
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            layers=[(w.copy(), b.copy()) for w, b in self.layers],
-            proxies=self.proxies.copy(),
-            proxy_bias=self.proxy_bias.copy(),
-        )
+    def proxy_bias(self) -> np.ndarray:
+        return (self._views or self._split())[2]
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like the parameters."""
+    """First/second moment accumulators, one vector each."""
 
-    m: ModelParams
-    v: ModelParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.99
@@ -77,7 +110,7 @@ class AdamState:
     @classmethod
     def init(cls, params: ModelParams, beta1: float = 0.9, beta2: float = 0.99,
              eps: float = 1e-8) -> "AdamState":
-        return cls(m=zeros_like_params(params), v=zeros_like_params(params),
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
                    step=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
@@ -86,28 +119,18 @@ class ForwardCache:
     """Everything the backward pass needs for one batch."""
 
     inputs: np.ndarray
-    pre_acts: list[np.ndarray] = field(default_factory=list)
     acts: list[np.ndarray] = field(default_factory=list)
     features: np.ndarray = None
     logits: np.ndarray = None
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        layers=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers],
-        proxies=np.zeros_like(params.proxies),
-        proxy_bias=np.zeros_like(params.proxy_bias),
-    )
+    return params.like(np.zeros_like(params.flat))
 
 
 def add_params(a: ModelParams, b: ModelParams, scale: float = 1.0) -> ModelParams:
-    """a + scale * b, elementwise over every parameter array."""
-    return ModelParams(
-        layers=[(wa + scale * wb, ba + scale * bb)
-                for (wa, ba), (wb, bb) in zip(a.layers, b.layers)],
-        proxies=a.proxies + scale * b.proxies,
-        proxy_bias=a.proxy_bias + scale * b.proxy_bias,
-    )
+    """a + scale * b, elementwise over the parameter vector."""
+    return a.like(a.flat + scale * b.flat)
 
 
 def init_params(layer_dims: list[int], num_classes: int, seed: int) -> ModelParams:
@@ -129,8 +152,7 @@ def init_params(layer_dims: list[int], num_classes: int, seed: int) -> ModelPara
     feat_dim = layer_dims[-1]
     limit = np.sqrt(6.0 / (feat_dim + num_classes))
     proxies = rng.uniform(-limit, limit, size=(num_classes, feat_dim))
-    return ModelParams(layers=layers, proxies=proxies,
-                       proxy_bias=np.zeros(num_classes))
+    return ModelParams.from_arrays(layers, proxies, np.zeros(num_classes))
 
 
 def forward(params: ModelParams, batch: np.ndarray) -> ForwardCache:
@@ -138,17 +160,16 @@ def forward(params: ModelParams, batch: np.ndarray) -> ForwardCache:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
-    expected = (params.layers[0][0].shape[0] if params.layers
-                else params.feature_dim)
+    expected = params.dims[0]
     if batch.shape[1] != expected:
         raise ShapeError(
             f"batch has {batch.shape[1]} columns, model expects {expected}")
     cache = ForwardCache(inputs=batch)
     h = batch
     for w, b in params.layers:
-        z = h @ w + b
-        h = np.tanh(z)
-        cache.pre_acts.append(z)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         cache.acts.append(h)
     cache.features = h
     cache.logits = h @ params.proxies.T + params.proxy_bias
@@ -157,23 +178,35 @@ def forward(params: ModelParams, batch: np.ndarray) -> ForwardCache:
 
 def backward(params: ModelParams, cache: ForwardCache,
              dlogits: np.ndarray) -> ModelParams:
-    """Exact gradients of sum(dlogits * logits) w.r.t. every parameter."""
+    """Exact gradients of sum(dlogits * logits) w.r.t. every parameter,
+    written into one fresh vector."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise ShapeError(
             f"dlogits shape {dlogits.shape} != logits shape {cache.logits.shape}")
-    proxies = dlogits.T @ cache.features
-    proxy_bias = dlogits.sum(axis=0)
+    grads = params.like(np.empty_like(params.flat))
+    np.matmul(dlogits.T, cache.features, out=grads.proxies)
+    dlogits.sum(axis=0, out=grads.proxy_bias)
     dh = dlogits @ params.proxies
-    layers = []
     for i in range(len(params.layers) - 1, -1, -1):
-        w, _ = params.layers[i]
-        dz = dh * (1.0 - cache.acts[i] ** 2)  # tanh'(z) = 1 - tanh(z)^2
+        gw, gb = grads.layers[i]
+        dz = cache.acts[i] ** 2  # dz = dh * tanh'(z) = dh * (1 - tanh(z)^2)
+        np.subtract(1.0, dz, out=dz)
+        dz *= dh
         prev = cache.acts[i - 1] if i > 0 else cache.inputs
-        layers.append((prev.T @ dz, dz.sum(axis=0)))
-        dh = dz @ w.T
-    return ModelParams(layers=layers[::-1], proxies=proxies,
-                       proxy_bias=proxy_bias)
+        np.matmul(prev.T, dz, out=gw)
+        dz.sum(axis=0, out=gb)
+        if i > 0:
+            dh = dz @ params.layers[i][0].T
+    return grads
+
+
+def _non_finite_layer(grads: ModelParams) -> str:
+    """Name of the layer holding the first non-finite gradient entry."""
+    first = int(np.flatnonzero(~np.isfinite(grads.flat))[0])
+    layout = _layout(grads.dims, grads.num_classes)
+    k = next(k for k, (_, stop, _) in enumerate(layout) if first < stop)
+    return f"feature layer {k // 2}" if k < len(layout) - 2 else "proxy layer"
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
@@ -181,42 +214,31 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     """One bias-corrected Adam update.  Returns fresh params and state."""
     if lr <= 0:
         raise ConfigError(f"lr must be positive, got {lr}")
-    for i, (gw, gb) in enumerate(grads.layers):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NumericError(f"non-finite gradient in feature layer {i}")
-    if not (np.isfinite(grads.proxies).all() and np.isfinite(grads.proxy_bias).all()):
-        raise NumericError("non-finite gradient in proxy layer")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient in {_non_finite_layer(grads)}")
 
     t = state.step + 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-
-    def update(p, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        p_new = p - lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + eps)
-        return p_new, m_new, v_new
-
-    new_layers, m_layers, v_layers = [], [], []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(
-            params.layers, grads.layers, state.m.layers, state.v.layers):
-        w2, mw2, vw2 = update(w, gw, mw, vw)
-        b2_, mb2, vb2 = update(b, gb, mb, vb)
-        new_layers.append((w2, b2_))
-        m_layers.append((mw2, mb2))
-        v_layers.append((vw2, vb2))
-    pw, mpw, vpw = update(params.proxies, grads.proxies,
-                          state.m.proxies, state.v.proxies)
-    pb, mpb, vpb = update(params.proxy_bias, grads.proxy_bias,
-                          state.m.proxy_bias, state.v.proxy_bias)
-
-    new_params = ModelParams(layers=new_layers, proxies=pw, proxy_bias=pb)
-    new_state = AdamState(
-        m=ModelParams(layers=m_layers, proxies=mpw, proxy_bias=mpb),
-        v=ModelParams(layers=v_layers, proxies=vpw, proxy_bias=vpb),
-        step=t, beta1=b1, beta2=b2, eps=eps)
-    return new_params, new_state
+    # In place, with the operands and order of
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+    #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    m = b1 * state.m
+    m += (1.0 - b1) * g
+    v = b2 * state.v
+    g2 = (1.0 - b2) * g
+    g2 *= g
+    v += g2
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = m / bc1
+    step *= lr
+    step /= denom
+    return params.like(params.flat - step), AdamState(
+        m=m, v=v, step=t, beta1=b1, beta2=b2, eps=eps)
 
 
 def ema_update(teacher: ModelParams, student: ModelParams,
@@ -224,12 +246,7 @@ def ema_update(teacher: ModelParams, student: ModelParams,
     """teacher' = decay * teacher + (1 - decay) * student, per parameter."""
     if not 0.0 <= decay <= 1.0:
         raise ConfigError(f"EMA decay must be in [0, 1], got {decay}")
-    return ModelParams(
-        layers=[(decay * tw + (1.0 - decay) * sw, decay * tb + (1.0 - decay) * sb)
-                for (tw, tb), (sw, sb) in zip(teacher.layers, student.layers)],
-        proxies=decay * teacher.proxies + (1.0 - decay) * student.proxies,
-        proxy_bias=decay * teacher.proxy_bias + (1.0 - decay) * student.proxy_bias,
-    )
+    return teacher.like(decay * teacher.flat + (1.0 - decay) * student.flat)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -247,24 +264,16 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    e is exp(-x) where x >= 0 and exp(x) elsewhere (NaN included), so each
+    branch sees the same operands as 1 / (1 + exp(-x)) and
+    exp(x) / (1 + exp(x)) would, and nothing overflows.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _param_views(params: ModelParams) -> list[np.ndarray]:
-    views = []
-    for w, b in params.layers:
-        views.append(w)
-        views.append(b)
-    views.append(params.proxies)
-    views.append(params.proxy_bias)
-    return views
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def gradcheck(params: ModelParams, batch: np.ndarray, loss_fn,
@@ -273,45 +282,39 @@ def gradcheck(params: ModelParams, batch: np.ndarray, loss_fn,
 
     loss_fn maps a logits matrix to (loss, dloss/dlogits); the analytic
     path runs backward() on dlogits while the numeric path perturbs each
-    parameter scalar by +-eps and re-evaluates the loss.
+    entry of the parameter vector by +-eps and re-evaluates the loss.
     """
     if not 1e-7 < eps < 1e-2:
         raise ConfigError(f"eps must lie in (1e-7, 1e-2), got {eps}")
     cache = forward(params, batch)
     _, dlogits = loss_fn(cache.logits)
-    analytic = backward(params, cache, dlogits)
+    analytic = backward(params, cache, dlogits).flat
 
-    work = params.copy()
+    work = params.like(params.flat.copy())
+    flat = work.flat
     max_err = 0.0
-    for a_view, w_view in zip(_param_views(analytic), _param_views(work)):
-        flat_a = a_view.ravel()
-        flat_w = w_view.ravel()
-        for j in range(flat_w.size):
-            orig = flat_w[j]
-            flat_w[j] = orig + eps
-            lp, _ = loss_fn(forward(work, batch).logits)
-            flat_w[j] = orig - eps
-            lm, _ = loss_fn(forward(work, batch).logits)
-            flat_w[j] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            denom = max(abs(flat_a[j]), abs(numeric), 1e-8)
-            max_err = max(max_err, abs(flat_a[j] - numeric) / denom)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + eps
+        lp, _ = loss_fn(forward(work, batch).logits)
+        flat[j] = orig - eps
+        lm, _ = loss_fn(forward(work, batch).logits)
+        flat[j] = orig
+        numeric = (lp - lm) / (2.0 * eps)
+        denom = max(abs(analytic[j]), abs(numeric), 1e-8)
+        max_err = max(max_err, abs(analytic[j] - numeric) / denom)
     return max_err
 
 
 def save_params(params: ModelParams, path: str) -> None:
     """Flat little-endian float64 checkpoint with a versioned header."""
-    dims = params.layer_dims
+    dims = params.dims
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<III", CHECKPOINT_VERSION, len(dims),
                             params.num_classes))
         f.write(struct.pack(f"<{len(dims)}I", *dims))
-        for w, b in params.layers:
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(params.proxies, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(params.proxy_bias, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_params(path: str) -> ModelParams:
@@ -334,22 +337,12 @@ def load_params(path: str) -> ModelParams:
     if len(blob) < offset:
         raise ParseError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{n_dims}I", blob, 16)
-    shapes = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        shapes += [(fan_in, fan_out), (fan_out,)]
-    shapes += [(num_classes, dims[-1]), (num_classes,)]
-    size = offset + 8 * sum(math.prod(shape) for shape in shapes)
+    n = _layout(dims, num_classes)[-1][1]
+    size = offset + 8 * n
     if len(blob) < size:
         raise ParseError(f"{path}: truncated parameter data")
     if len(blob) > size:
         raise ParseError(f"{path}: {len(blob) - size} trailing bytes after "
                          "the parameter data")
-    arrays = []
-    for shape in shapes:
-        n = math.prod(shape)
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-                      .astype(np.float64).reshape(shape))
-        offset += 8 * n
-    layers = list(zip(arrays[:-2:2], arrays[1:-2:2]))
-    return ModelParams(layers=layers, proxies=arrays[-2],
-                       proxy_bias=arrays[-1])
+    flat = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
+    return ModelParams(flat.astype(np.float64), dims, num_classes)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .client import ClientConfig, ClientUpdate, local_train
-from .data import Federation, unmask_labels
+from .data import EvalSet, Federation, unmask_labels
 from .errors import AggregationError, ConfigError
 from .metrics import EvalResult, macro_metrics
 
@@ -48,12 +48,12 @@ def _check_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
     updates = sorted(updates, key=lambda u: u.client_id)
     ref = updates[0].params
     for u in updates:
-        if u.params.layer_dims != ref.layer_dims \
+        if u.params.dims != ref.dims \
                 or u.params.num_classes != ref.num_classes:
             raise AggregationError(
                 f"client {u.client_id}: model shape "
-                f"{u.params.layer_dims}/{u.params.num_classes} does not match "
-                f"{ref.layer_dims}/{ref.num_classes}")
+                f"{u.params.dims}/{u.params.num_classes} does not match "
+                f"{ref.dims}/{ref.num_classes}")
         if u.n_samples <= 0:
             raise AggregationError(
                 f"client {u.client_id}: non-positive sample count "
@@ -75,16 +75,14 @@ def sample_weights(updates: list[ClientUpdate]) -> np.ndarray:
     return counts / counts.sum()
 
 
-def aggregate_features(updates: list[ClientUpdate]) -> list:
-    """Sample-count-weighted average of the hidden layers."""
+def aggregate_features(updates: list[ClientUpdate]) -> nn.ModelParams:
+    """Sample-count-weighted average of the whole parameter vector, summed
+    in client-id order.  Its hidden layers are the aggregate's; aggregate()
+    replaces its proxy layer."""
     updates = _check_updates(updates)
     w = sample_weights(updates)
-    layers = []
-    for li in range(len(updates[0].params.layers)):
-        w_sum = sum(wk * u.params.layers[li][0] for wk, u in zip(w, updates))
-        b_sum = sum(wk * u.params.layers[li][1] for wk, u in zip(w, updates))
-        layers.append((w_sum, b_sum))
-    return layers
+    return updates[0].params.like(
+        sum(wk * u.params.flat for wk, u in zip(w, updates)))
 
 
 def aggregate_proxies(updates: list[ClientUpdate], mode: str = "awpa"):
@@ -119,20 +117,19 @@ def aggregate_proxies(updates: list[ClientUpdate], mode: str = "awpa"):
 
 def aggregate(updates: list[ClientUpdate],
               proxy_mode: str = "awpa") -> nn.ModelParams:
-    layers = aggregate_features(updates)
-    proxies, proxy_bias = aggregate_proxies(updates, proxy_mode)
-    return nn.ModelParams(layers=layers, proxies=proxies,
-                          proxy_bias=proxy_bias)
+    params = aggregate_features(updates)
+    params.proxies[...], params.proxy_bias[...] = aggregate_proxies(
+        updates, proxy_mode)
+    return params
 
 
-def evaluate(params: nn.ModelParams, dataset, task: str) -> EvalResult:
-    if not dataset:
+def evaluate(params: nn.ModelParams, dataset: EvalSet,
+             task: str) -> EvalResult:
+    if len(dataset) == 0:
         raise ConfigError("empty evaluation set")
-    xs = np.stack([s.x for s in dataset])
-    logits = nn.forward(params, xs).logits
+    logits = nn.forward(params, dataset.x).logits
     probs = nn.softmax(logits) if task == "single" else nn.sigmoid(logits)
-    true = np.stack([s.true_label for s in dataset])
-    return macro_metrics(probs, true, task)
+    return macro_metrics(probs, dataset.truth, task)
 
 
 def run_round(params: nn.ModelParams, fed: Federation, datasets: list,
@@ -178,7 +175,8 @@ def run_federation(fed: Federation, client_cfg: ClientConfig, *, rounds: int,
         cfg = replace(client_cfg, use_pseudo=False)
         default_proxy = "fedavg"
     else:
-        datasets = [unmask_labels(c) for c in fed.clients]
+        datasets = [unmask_labels(c.x, t)
+                    for c, t in zip(fed.clients, fed.truth)]
         cfg = replace(client_cfg, use_pseudo=False)
         default_proxy = "fedavg"
     proxy = proxy_mode or default_proxy

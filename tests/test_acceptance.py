@@ -17,8 +17,7 @@ import pytest
 from fedlsm import nn
 from fedlsm.client import ClientConfig, ClientUpdate, loss_identified
 from fedlsm.cli import run_gradcheck
-from fedlsm.data import (AugmentConfig, FederationConfig, LabelRecord,
-                         Sample, gen_federation)
+from fedlsm.data import AugmentConfig, FederationConfig, gen_federation
 from fedlsm.metrics import roc_auc
 from fedlsm.server import aggregate_proxies, run_federation
 from fedlsm.uncertainty import entropy_multi, entropy_single, partition
@@ -101,7 +100,7 @@ def random_updates(rng, k=None, m=None, f=None, edd=None):
     f = f or int(rng.integers(2, 7))
     updates = []
     for i in range(k):
-        params = nn.ModelParams(
+        params = nn.ModelParams.from_arrays(
             layers=[(rng.normal(size=(3, f)), rng.normal(size=f))],
             proxies=rng.normal(size=(m, f)), proxy_bias=rng.normal(size=m))
         q = edd[i] if edd is not None else rng.integers(0, 20, size=m)
@@ -122,8 +121,8 @@ def test_proxy_aggregation_algebra(capsys):
         shared = rng.normal(size=updates[0].params.proxies.shape)
         shared_bias = rng.normal(size=updates[0].params.proxy_bias.shape)
         for u in updates:
-            u.params.proxies = shared.copy()
-            u.params.proxy_bias = shared_bias.copy()
+            u.params.proxies[...] = shared
+            u.params.proxy_bias[...] = shared_bias
         proxies, bias = aggregate_proxies(updates, mode="awpa")
         assert np.allclose(proxies, shared, atol=1e-12)
         assert np.allclose(bias, shared_bias, atol=1e-12)
@@ -190,14 +189,10 @@ def test_entropy_and_partition_invariants(capsys):
         n = int(rng.integers(3, 31))
         d = int(rng.integers(2, 6))
         params = nn.init_params([d, 5], m, seed=int(rng.integers(2 ** 31)))
-        dataset = [Sample(x=rng.normal(size=d), true_label=np.eye(m)[0],
-                          label=LabelRecord(values=np.eye(m)[0],
-                                            known_mask=np.ones(m, dtype=bool)))
-                   for _ in range(n)]
+        xs = np.stack([rng.normal(size=d) for _ in range(n)])
         frac_l = float(rng.uniform(0, 0.6))
         frac_h = float(rng.uniform(0, 1.0 - frac_l))
-        part = partition(np.stack([s.x for s in dataset]), params, "single",
-                         tuple(unknown),
+        part = partition(xs, params, "single", tuple(unknown),
                          frac_l, frac_h)
         n_l = int(round(frac_l * n))
         n_h = min(int(round(frac_h * n)), n - n_l)
@@ -231,12 +226,8 @@ def test_unknown_labels_cannot_leak_into_supervised_loss(capsys):
         # multi-label: masked classes must get exactly zero proxy gradient
         known = rng.random((n, m)) < 0.6
         values = np.where(known, (rng.random((n, m)) < 0.5).astype(float), 0.0)
-        labels = [LabelRecord(values=values[i], known_mask=known[i])
-                  for i in range(n)]
         cache = nn.forward(params, batch)
-        _, dlogits = loss_identified(
-            cache.logits, np.stack([r.values for r in labels]),
-            np.stack([r.known_mask for r in labels]), "multi")
+        _, dlogits = loss_identified(cache.logits, values, known, "multi")
         grads = nn.backward(params, cache, dlogits)
         fully_unknown = ~known.any(axis=0)
         assert (grads.proxies[fully_unknown] == 0.0).all()
@@ -245,18 +236,14 @@ def test_unknown_labels_cannot_leak_into_supervised_loss(capsys):
 
         # single-label: unlabeled rows contribute nothing
         labeled_mask = rng.random(n) < 0.5
-        slabels = []
+        svalues = np.zeros((n, m))
+        sknown = np.zeros((n, m), dtype=bool)
         for i in range(n):
             one_hot = np.zeros(m)
             one_hot[int(rng.integers(m))] = 1.0
             if labeled_mask[i]:
-                slabels.append(LabelRecord(values=one_hot,
-                                           known_mask=np.ones(m, dtype=bool)))
-            else:
-                slabels.append(LabelRecord(values=np.zeros(m),
-                                           known_mask=np.zeros(m, dtype=bool)))
-        svalues = np.stack([r.values for r in slabels])
-        sknown = np.stack([r.known_mask for r in slabels])
+                svalues[i] = one_hot
+                sknown[i] = True
         loss_a, dl = loss_identified(cache.logits, svalues, sknown, "single")
         assert (dl[~labeled_mask] == 0.0).all()
         poked = cache.logits.copy()

@@ -70,7 +70,7 @@ def test_run_checkpoint_roundtrip(tiny_config, tmp_path):
                    "--checkpoint", "--quiet") == 0
     params = nn.load_params(str(out / "checkpoints" / "seed0.ckpt"))
     assert params.num_classes == 3
-    assert params.layer_dims == [4, 6]
+    assert params.dims == (4, 6)
 
 
 def test_run_honors_output_env(tiny_config, tmp_path, monkeypatch):
@@ -132,11 +132,11 @@ def test_gen_data_writes_csvs(tiny_config, tmp_path):
                    "--output-dir", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["clients"]) == 2
-    client0 = load_csv(str(out / "client0.csv"))
+    client0, _ = load_csv(str(out / "client0.csv"))
     assert len(client0) == 20
-    test_set = load_csv(str(out / "test.csv"))
+    test_set, _ = load_csv(str(out / "test.csv"))
     assert len(test_set) == 20
-    assert all(s.label.known_mask.all() for s in test_set)
+    assert test_set.known.all()
 
 
 def test_exit_code_one_for_config_problems(tmp_path):

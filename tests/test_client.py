@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from fedlsm import nn
 from fedlsm.client import (ClientConfig, PseudoLabelDecision,
-                           _track_verdicts, compute_class_weights, local_train,
+                           _draw_with_replacement, _track_verdicts, compute_class_weights, local_train,
                            loss_identified, loss_ude, loss_unknown, mixup,
                            pseudo_multi, pseudo_single, ude_batch)
-from fedlsm.data import (AugmentConfig, ClientSpec, FederationConfig,
-                         LabelRecord, Sample, gen_federation)
+from fedlsm.data import (AugmentConfig, ClientData, ClientSpec,
+                         FederationConfig, gen_federation)
 from fedlsm.errors import ConfigError
+from fedlsm.server import run_federation
 from fedlsm.uncertainty import UncertaintyPartition
 
 LN2 = math.log(2.0)
@@ -24,8 +27,9 @@ def probe_net(m: int, scale: float = 10.0) -> nn.ModelParams:
     Feeding arctanh(L / scale) produces exactly the logits L, which makes
     teacher confidence controllable in tests.
     """
-    return nn.ModelParams(layers=[(np.eye(m), np.zeros(m))],
-                          proxies=scale * np.eye(m), proxy_bias=np.zeros(m))
+    return nn.ModelParams.from_arrays(layers=[(np.eye(m), np.zeros(m))],
+                                      proxies=scale * np.eye(m),
+                                      proxy_bias=np.zeros(m))
 
 
 def inputs_for_logits(logits, scale: float = 10.0) -> np.ndarray:
@@ -33,25 +37,26 @@ def inputs_for_logits(logits, scale: float = 10.0) -> np.ndarray:
 
 
 def unit_label(m, c):
+    """(values, known mask) of one sample labeled with class c."""
     values = np.zeros(m)
     values[c] = 1.0
-    return LabelRecord(values=values, known_mask=np.ones(m, dtype=bool))
+    return values, np.ones(m, dtype=bool)
 
 
 def unlabeled(m):
-    return LabelRecord(values=np.zeros(m), known_mask=np.zeros(m, dtype=bool))
+    return np.zeros(m), np.zeros(m, dtype=bool)
 
 
 def stacked(records):
-    """(values, known) arrays of a list of label records."""
-    return (np.stack([r.values for r in records]),
-            np.stack([r.known_mask for r in records]))
+    """(values, known) arrays of a list of (values, known mask) labels."""
+    return (np.stack([values for values, _ in records]),
+            np.stack([known for _, known in records]))
 
 
 def client_arrays(samples):
-    """(x, values, known) arrays of a list of samples."""
-    return (np.stack([s.x for s in samples]),
-            *stacked([s.label for s in samples]))
+    """(x, values, known) arrays of a list of (x, label) rows."""
+    return (np.stack([x for x, _ in samples]),
+            *stacked([label for _, label in samples]))
 
 
 # ------------------------------------------------------------- pseudo labels
@@ -110,8 +115,7 @@ def test_loss_identified_single_skips_unlabeled_rows():
 
 def test_loss_identified_multi_oracle_and_weights():
     logits = np.zeros((1, 2))
-    rec = LabelRecord(values=np.array([1.0, 0.0]),
-                      known_mask=np.array([True, False]))
+    rec = (np.array([1.0, 0.0]), np.array([True, False]))
     loss, dlogits = loss_identified(logits, *stacked([rec]), "multi")
     assert loss == pytest.approx(LN2)
     assert np.allclose(dlogits, [[-0.5, 0.0]])
@@ -169,11 +173,10 @@ def test_loss_gradients_match_finite_differences(task):
     if task == "single":
         labels = [unit_label(4, 1), unlabeled(4), unit_label(4, 3)]
     else:
-        labels = [LabelRecord(values=(rng.random(4) < 0.5).astype(float),
-                              known_mask=rng.random(4) < 0.7)
+        labels = [((rng.random(4) < 0.5).astype(float), rng.random(4) < 0.7)
                   for _ in range(3)]
-        labels = [LabelRecord(values=np.where(l.known_mask, l.values, 0.0),
-                              known_mask=l.known_mask) for l in labels]
+        labels = [(np.where(known, values, 0.0), known)
+                  for values, known in labels]
     err = nn.gradcheck(params, batch,
                        lambda z: loss_identified(z, *stacked(labels), task))
     assert err < 1e-5
@@ -215,14 +218,10 @@ def _mix_setup(task, confident_high):
         # abstain class 2 on both members
         high_logits = [0.0, 6.0, 0.0]
     samples = [
-        Sample(x=inputs_for_logits([0.0, 6.0, 0.0]),
-               true_label=np.eye(m)[1],
-               label=unit_label(m, 1) if task == "single" else
-               LabelRecord(values=np.array([1.0, 0.0, 0.0]),
-                           known_mask=np.array([True, False, False]))),
-        Sample(x=inputs_for_logits(high_logits),
-               true_label=np.eye(m)[0],
-               label=unlabeled(m)),
+        (inputs_for_logits([0.0, 6.0, 0.0]),
+         unit_label(m, 1) if task == "single" else
+         (np.array([1.0, 0.0, 0.0]), np.array([True, False, False]))),
+        (inputs_for_logits(high_logits), unlabeled(m)),
     ]
     part = UncertaintyPartition(low=np.array([0]), mid=np.array([]),
                                 high=np.array([1]),
@@ -295,9 +294,11 @@ def test_local_train_zero_iters_keeps_params_and_counts_labels():
     upd = local_train(params, fed.clients[0], fed.specs[0],
                       fast_cfg(local_iters=0), round_idx=0, seed=11)
     assert np.array_equal(upd.params.proxies, params.proxies)
-    labeled = [s for s in fed.clients[0] if s.label.known_mask.any()]
+    data = fed.clients[0]
+    labeled = [values for values, known_mask in zip(data.values, data.known)
+               if known_mask.any()]
     for c in fed.specs[0].identified:
-        expected = sum(1 for s in labeled if np.argmax(s.label.values) == c)
+        expected = sum(1 for values in labeled if np.argmax(values) == c)
         assert upd.edd[c] == expected
     for c in fed.specs[0].unknown:
         assert upd.edd[c] == 0.0
@@ -318,17 +319,20 @@ def test_local_train_deterministic():
 
 
 def test_local_train_never_reads_ground_truth():
+    # A client's data carries no truth field, and the fedlsm round loop
+    # trains identically when the federation's ground truth is scrambled.
+    assert set(vars(small_federation().clients[0])) == {"x", "values",
+                                                        "known"}
     fed = small_federation()
-    params = nn.init_params([4, 6], 3, seed=0)
-    scrambled = [Sample(x=s.x, true_label=np.roll(s.true_label, 1),
-                        label=s.label) for s in fed.clients[0]]
-    a = local_train(params, fed.clients[0], fed.specs[0], fast_cfg(),
-                    round_idx=0, seed=9)
-    b = local_train(params, scrambled, fed.specs[0], fast_cfg(),
-                    round_idx=0, seed=9)
+    scrambled = replace(fed, truth=[np.roll(t, 1, axis=1) for t in fed.truth])
+    a = run_federation(fed, fast_cfg(), rounds=2, mode="fedlsm", seed=9,
+                       hidden_dims=(6,))
+    b = run_federation(scrambled, fast_cfg(), rounds=2, mode="fedlsm",
+                       seed=9, hidden_dims=(6,))
     assert np.array_equal(a.params.proxies, b.params.proxies)
     assert np.array_equal(a.params.layers[0][0], b.params.layers[0][0])
-    assert np.array_equal(a.edd, b.edd)
+    assert [r.client_stats for r in a.reports] == \
+        [r.client_stats for r in b.reports]
 
 
 def test_local_train_counts_confident_pseudo_labels():
@@ -343,8 +347,9 @@ def test_local_train_counts_confident_pseudo_labels():
     # distinct samples only: cannot exceed the trainable pool
     assert unknown_counts.sum() <= len(dataset)
     for c in spec.identified:
-        labeled = sum(1 for s in dataset if s.label.known_mask.any()
-                      and np.argmax(s.label.values) == c)
+        labeled = sum(1 for values, known_mask
+                      in zip(dataset.values, dataset.known)
+                      if known_mask.any() and np.argmax(values) == c)
         assert upd.edd[c] == labeled
 
 
@@ -352,9 +357,8 @@ def test_supervised_branch_ignores_unlabeled_samples():
     fed = small_federation()
     spec, dataset = fed.specs[0], fed.clients[0]
     params = nn.init_params([4, 6], 3, seed=0)
-    poked = [s if s.label.known_mask.any() else
-             Sample(x=s.x + 1e6, true_label=s.true_label, label=s.label)
-             for s in dataset]
+    poked = replace(dataset, x=np.where(dataset.known.any(axis=1)[:, None],
+                                        dataset.x, dataset.x + 1e6))
     cfg = fast_cfg(use_pseudo=False)
     a = local_train(params, dataset, spec, cfg, round_idx=0, seed=2)
     b = local_train(params, poked, spec, cfg, round_idx=0, seed=2)
@@ -367,7 +371,10 @@ def test_local_train_rejects_empty_dataset():
     spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
                       n_samples=0)
     with pytest.raises(ConfigError, match="empty"):
-        local_train(params, [], spec, fast_cfg(), round_idx=0, seed=0)
+        local_train(params, ClientData(x=np.zeros((0, 4)),
+                                       values=np.zeros((0, 3)),
+                                       known=np.zeros((0, 3), dtype=bool)),
+                    spec, fast_cfg(), round_idx=0, seed=0)
 
 
 def test_client_config_validation():
@@ -391,10 +398,8 @@ def test_compute_class_weights_multi():
     samples = []
     for vals in ([1, 1, 0], [0, 1, 0], [0, 1, 0], [0, 0, 0]):
         values = np.array(vals, dtype=np.float64)
-        samples.append(Sample(x=np.zeros(2), true_label=values,
-                              label=LabelRecord(
-                                  values=np.where([1, 1, 0], values, 0.0),
-                                  known_mask=np.array([True, True, False]))))
+        samples.append((np.zeros(2), (np.where([1, 1, 0], values, 0.0),
+                                      np.array([True, True, False]))))
     w = compute_class_weights(*client_arrays(samples)[1:], spec.identified)
     assert w[0] == pytest.approx(3.0)
     assert w[1] == pytest.approx(1.0)
@@ -408,7 +413,7 @@ def test_compute_class_weights_multi():
 # same random numbers in the same order.
 
 def reference_loss_identified_single(logits, labels):
-    labeled = np.array([rec.known_mask.any() for rec in labels])
+    labeled = np.array([known.any() for _, known in labels])
     count = int(labeled.sum())
     if count == 0:
         return 0.0, np.zeros_like(logits)
@@ -417,7 +422,7 @@ def reference_loss_identified_single(logits, labels):
     dlogits = np.zeros_like(logits)
     loss = 0.0
     for i in np.flatnonzero(labeled):
-        y = int(np.argmax(labels[i].values))
+        y = int(np.argmax(labels[i][0]))
         loss -= log_p[i, y]
         dlogits[i] = probs[i]
         dlogits[i, y] -= 1.0
@@ -443,7 +448,7 @@ def reference_loss_unknown_single(logits, decisions, denom=None):
 
 
 def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
-    xs = np.stack([dataset[i].x for i in indices])
+    xs = np.stack([dataset[i][0] for i in indices])
     x_weak = xs + cfg.augment.sigma_weak * rng.standard_normal(xs.shape)
     m = teacher.num_classes
     labels = np.zeros((len(indices), m))
@@ -451,9 +456,9 @@ def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
         probs = nn.softmax(nn.forward(teacher, x_weak).logits)
         usable = np.zeros(len(indices), dtype=bool)
         for j, i in enumerate(indices):
-            rec = dataset[i].label
-            if rec.known_mask.any():
-                labels[j] = rec.values
+            values, known_mask = dataset[i][1]
+            if known_mask.any():
+                labels[j] = values
                 usable[j] = True
             elif probs[j].max() >= cfg.tau_l:
                 labels[j, int(probs[j].argmax())] = 1.0
@@ -462,9 +467,9 @@ def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
     probs = nn.sigmoid(nn.forward(teacher, x_weak).logits)
     valid = np.zeros((len(indices), m), dtype=bool)
     for j, i in enumerate(indices):
-        rec = dataset[i].label
-        labels[j] = np.where(rec.known_mask, rec.values, 0.0)
-        valid[j] = rec.known_mask.copy()
+        values, known_mask = dataset[i][1]
+        labels[j] = np.where(known_mask, values, 0.0)
+        valid[j] = known_mask.copy()
         for c in spec.unknown:
             if probs[j, c] >= cfg.tau_lp:
                 labels[j, c] = 1.0
@@ -476,7 +481,7 @@ def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
 
 def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
     m = teacher.num_classes
-    empty = (np.zeros((0, dataset[0].x.shape[0])), np.zeros((0, m)), None)
+    empty = (np.zeros((0, dataset[0][0].shape[0])), np.zeros((0, m)), None)
     if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
         return empty
     xs_mix, ys_mix, valids = [], [], []
@@ -502,8 +507,8 @@ def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
                 if not pair_valid.any():
                     continue
             lam = float(lams[j])
-            xs_mix.append(lam * dataset[low_idx[j]].x
-                          + (1.0 - lam) * dataset[high_idx[j]].x)
+            xs_mix.append(lam * dataset[low_idx[j]][0]
+                          + (1.0 - lam) * dataset[high_idx[j]][0])
             ys_mix.append(lam * y_low[j] + (1.0 - lam) * y_high[j])
             valids.append(pair_valid)
             kept += 1
@@ -548,7 +553,7 @@ def reference_setup(task, seed):
     rng = np.random.default_rng(seed)
     n, d, m = 40, 4, 5
     teacher = nn.init_params([d, 6], m, seed=seed)
-    teacher.proxies *= 6.0  # a mix of confident and unconfident members
+    teacher.proxies[...] *= 6.0  # a mix of confident and unconfident members
     identified = (0, 2)
     spec = ClientSpec(client_id=0, identified=identified, unknown=(1, 3, 4),
                       n_samples=n)
@@ -559,11 +564,9 @@ def reference_setup(task, seed):
         labels = []
         for _ in range(n):
             known = rng.random(m) < 0.2
-            labels.append(LabelRecord(
-                values=np.where(known, rng.random(m) < 0.4, 0.0),
-                known_mask=known))
-    dataset = [Sample(x=rng.normal(size=d) * 2, true_label=np.eye(m)[0],
-                      label=rec) for rec in labels]
+            labels.append((np.where(known, rng.random(m) < 0.4, 0.0),
+                           known))
+    dataset = [(rng.normal(size=d) * 2, rec) for rec in labels]
     order = rng.permutation(n)
     part = UncertaintyPartition(low=order[:20], mid=order[20:32],
                                 high=order[32:], entropy=np.zeros(n))
@@ -608,3 +611,16 @@ def test_verdict_tracking_matches_per_row_reference():
     for i, pos in reference.items():
         want[i] = pos
     assert np.array_equal(tracked, want)
+
+
+@pytest.mark.parametrize("pool_size", [1, 2, 3, 17, 500])
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_with_replacement_matches_generator_choice(seed, pool_size):
+    pool = np.arange(pool_size) * 3 + 5
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    for k in (1, 8, 64):
+        got = _draw_with_replacement(pool, k, a)
+        want = b.choice(pool, size=k, replace=True)
+        assert got.tobytes() == want.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fedlsm.data import (AugmentConfig, ClientSpec, FederationConfig,
-                         LabelRecord, Sample, augment_strong, augment_weak,
-                         gen_federation, load_csv, mask_labels, save_csv,
-                         unmask_labels)
+                         augment_strong, augment_weak, gen_federation,
+                         load_csv, mask_labels, save_csv, unmask_labels)
 from fedlsm.errors import ConfigError, ParseError
 
 
@@ -36,9 +35,9 @@ def test_federation_deterministic_per_seed():
     a = gen_federation(tiny_cfg(seed=5))
     b = gen_federation(tiny_cfg(seed=5))
     c = gen_federation(tiny_cfg(seed=6))
-    assert np.array_equal(a.clients[0][0].x, b.clients[0][0].x)
-    assert np.array_equal(a.test[3].true_label, b.test[3].true_label)
-    assert not np.array_equal(a.clients[0][0].x, c.clients[0][0].x)
+    assert np.array_equal(a.clients[0].x[0], b.clients[0].x[0])
+    assert np.array_equal(a.test.truth[3], b.test.truth[3])
+    assert not np.array_equal(a.clients[0].x[0], c.clients[0].x[0])
 
 
 def test_coverage_unsatisfiable():
@@ -49,67 +48,63 @@ def test_coverage_unsatisfiable():
 
 def test_single_label_masking_rules():
     fed = gen_federation(tiny_cfg())
-    for spec, dataset in zip(fed.specs, fed.clients):
-        for s in dataset:
-            true_class = int(np.argmax(s.true_label))
+    for spec, dataset, truth in zip(fed.specs, fed.clients, fed.truth):
+        for values, known_mask, true_label in zip(dataset.values,
+                                                  dataset.known, truth):
+            true_class = int(np.argmax(true_label))
             if true_class in spec.identified:
-                assert s.label.known_mask.all()
-                assert np.array_equal(s.label.values, s.true_label)
+                assert known_mask.all()
+                assert np.array_equal(values, true_label)
             else:
-                assert not s.label.known_mask.any()
-                assert (s.label.values == 0).all()
+                assert not known_mask.any()
+                assert (values == 0).all()
 
 
 def test_multi_label_masking_rules():
     fed = gen_federation(tiny_cfg(task="multi"))
-    for spec, dataset in zip(fed.specs, fed.clients):
+    for spec, dataset, truth in zip(fed.specs, fed.clients, fed.truth):
         ident = np.zeros(5, dtype=bool)
         ident[list(spec.identified)] = True
-        for s in dataset:
-            assert np.array_equal(s.label.known_mask, ident)
-            assert np.array_equal(s.label.values[ident], s.true_label[ident])
-            assert (s.label.values[~ident] == 0).all()
+        for values, known_mask, true_label in zip(dataset.values,
+                                                  dataset.known, truth):
+            assert np.array_equal(known_mask, ident)
+            assert np.array_equal(values[ident], true_label[ident])
+            assert (values[~ident] == 0).all()
 
 
 def test_mask_oracle_case():
     spec = ClientSpec(client_id=0, identified=(0, 2), unknown=(1, 3),
                       n_samples=1)
     truth = np.array([1.0, 1.0, 0.0, 1.0])
-    sample = Sample(x=np.zeros(2), true_label=truth,
-                    label=LabelRecord(values=truth.copy(),
-                                      known_mask=np.ones(4, dtype=bool)))
-    out = mask_labels([sample], spec, "multi")[0]
-    assert np.array_equal(out.label.values, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(out.label.known_mask, [True, False, True, False])
+    out = mask_labels(np.zeros((1, 2)), truth[None], spec, "multi")
+    assert np.array_equal(out.values[0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(out.known[0], [True, False, True, False])
 
 
 def test_mask_labels_does_not_mutate_input():
     spec = ClientSpec(client_id=0, identified=(0,), unknown=(1,), n_samples=1)
-    truth = np.array([0.0, 1.0])
-    sample = Sample(x=np.zeros(2), true_label=truth,
-                    label=LabelRecord(values=truth.copy(),
-                                      known_mask=np.ones(2, dtype=bool)))
-    masked = mask_labels([sample], spec, "multi")[0]
-    assert sample.label.known_mask.all()
-    assert np.array_equal(sample.label.values, truth)
-    masked.label.values[0] = 7.0
-    assert sample.label.values[0] == 0.0
+    truth = np.array([[0.0, 1.0]])
+    original = truth.copy()
+    masked = mask_labels(np.zeros((1, 2)), truth, spec, "multi")
+    assert np.array_equal(truth, original)
+    masked.values[0, 0] = 7.0
+    assert truth[0, 0] == 0.0
 
 
 def test_unmask_restores_full_labels():
     fed = gen_federation(tiny_cfg())
-    restored = unmask_labels(fed.clients[0])
-    for s in restored:
-        assert s.label.known_mask.all()
-        assert np.array_equal(s.label.values, s.true_label)
+    restored = unmask_labels(fed.clients[0].x, fed.truth[0])
+    assert restored.known.all()
+    assert np.array_equal(restored.values, fed.truth[0])
+    assert restored.values is not fed.truth[0]
 
 
 def test_single_label_cluster_separation():
     cfg = tiny_cfg(n_classes=3, classes_per_client=2, cluster_sep=6.0,
                    n_test=1500, feature_dim=8)
     fed = gen_federation(cfg)
-    xs = np.stack([s.x for s in fed.test])
-    classes = np.array([int(np.argmax(s.true_label)) for s in fed.test])
+    xs = fed.test.x
+    classes = fed.test.truth.argmax(axis=1)
     means = np.stack([xs[classes == c].mean(axis=0) for c in range(3)])
     for a in range(3):
         for b in range(a + 1, 3):
@@ -120,7 +115,7 @@ def test_single_label_cluster_separation():
 def test_multi_label_positive_rate():
     cfg = tiny_cfg(task="multi", positive_rate=0.3, n_test=2000)
     fed = gen_federation(cfg)
-    truths = np.stack([s.true_label for s in fed.test])
+    truths = fed.test.truth
     rate = truths.mean()
     assert 0.2 < rate < 0.4
 
@@ -141,14 +136,14 @@ def test_augment_determinism_and_scale():
 def test_csv_roundtrip(tmp_path):
     fed = gen_federation(tiny_cfg())
     path = tmp_path / "client0.csv"
-    save_csv(fed.clients[0], str(path))
-    loaded = load_csv(str(path))
-    assert len(loaded) == len(fed.clients[0])
-    for a, b in zip(fed.clients[0], loaded):
-        assert np.array_equal(a.x, b.x)  # repr round-trips floats exactly
-        assert np.array_equal(a.label.values, b.label.values)
-        assert np.array_equal(a.label.known_mask, b.label.known_mask)
-        assert np.array_equal(a.true_label, b.true_label)
+    a = fed.clients[0]
+    save_csv(str(path), a.x, a.values, a.known, fed.truth[0])
+    b, truth = load_csv(str(path))
+    assert len(b) == len(a)
+    assert np.array_equal(a.x, b.x)  # repr round-trips floats exactly
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.known, b.known)
+    assert np.array_equal(fed.truth[0], truth)
 
 
 def test_csv_errors_name_the_line(tmp_path):
@@ -167,7 +162,8 @@ def test_csv_errors_name_the_line(tmp_path):
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    assert load_csv(str(path)) == []
+    data, truth = load_csv(str(path))
+    assert len(data) == 0 and truth.size == 0
 
 
 def test_federation_config_validation():

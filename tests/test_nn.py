@@ -1,7 +1,12 @@
 """Numeric core: init, forward/backward, Adam, EMA, checkpoints."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedlsm import nn
 from fedlsm.errors import ConfigError, NumericError, ParseError, ShapeError
@@ -105,10 +110,11 @@ def test_gradcheck_eps_validation():
 def test_adam_single_step_oracle():
     # One parameter, unit gradient: the bias-corrected step is exactly lr
     # up to the epsilon in the denominator.
-    p = nn.ModelParams(layers=[(np.array([[1.0]]), np.zeros(1))],
-                       proxies=np.zeros((2, 1)), proxy_bias=np.zeros(2))
+    p = nn.ModelParams.from_arrays(layers=[(np.array([[1.0]]), np.zeros(1))],
+                                   proxies=np.zeros((2, 1)),
+                                   proxy_bias=np.zeros(2))
     g = nn.zeros_like_params(p)
-    g.layers[0] = (np.array([[1.0]]), np.zeros(1))
+    g.layers[0][0][...] = np.array([[1.0]])
     state = nn.AdamState.init(p, beta1=0.9, beta2=0.99)
     p2, state2 = nn.adam_step(p, g, state, lr=0.1)
     assert p2.layers[0][0][0, 0] == pytest.approx(0.9, abs=1e-6)
@@ -121,14 +127,15 @@ def test_adam_single_step_oracle():
 def test_adam_rejects_non_finite_gradients():
     p = small_net()
     g = nn.zeros_like_params(p)
-    g.layers[1] = (g.layers[1][0] + np.nan, g.layers[1][1])
+    g.layers[1][0][...] += np.nan
     with pytest.raises(NumericError, match="layer 1"):
         nn.adam_step(p, g, nn.AdamState.init(p), lr=0.1)
 
 
 def test_ema_oracle_and_endpoints():
-    t = nn.ModelParams(layers=[(np.ones((1, 1)), np.ones(1))],
-                       proxies=np.ones((2, 1)), proxy_bias=np.ones(2))
+    t = nn.ModelParams.from_arrays(layers=[(np.ones((1, 1)), np.ones(1))],
+                                   proxies=np.ones((2, 1)),
+                                   proxy_bias=np.ones(2))
     s = nn.zeros_like_params(t)
     out = nn.ema_update(t, s, 0.999)
     assert out.layers[0][0][0, 0] == pytest.approx(0.999)
@@ -153,7 +160,7 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.ckpt"
     nn.save_params(p, str(path))
     q = nn.load_params(str(path))
-    assert q.layer_dims == p.layer_dims
+    assert q.dims == p.dims
     assert q.num_classes == p.num_classes
     for (w1, b1), (w2, b2) in zip(p.layers, q.layers):
         assert np.array_equal(w1, w2)
@@ -224,3 +231,211 @@ def test_backward_returns_fresh_gradients_in_layer_order():
     assert [g.shape for g, _ in grads.layers] == [w.shape for w, _ in p.layers]
     assert [g.shape for _, g in grads.layers] == [b.shape for _, b in p.layers]
     assert grads.proxies.shape == p.proxies.shape
+
+
+# ------------------------------------------------ per-array references
+#
+# The functions below are the per-array code the parameter vector
+# replaced.  The vector code must reproduce them bit for bit.
+
+def arrays_of(p):
+    return [a for pair in p.layers for a in pair] + [p.proxies, p.proxy_bias]
+
+
+def reference_add_params(a, b, scale=1.0):
+    return [x + scale * y for x, y in zip(arrays_of(a), arrays_of(b))]
+
+
+def reference_ema_update(teacher, student, decay):
+    return [decay * t + (1.0 - decay) * s
+            for t, s in zip(arrays_of(teacher), arrays_of(student))]
+
+
+def reference_adam_step(params, grads, m, v, step, lr, b1=0.9, b2=0.99,
+                        eps=1e-8):
+    t = step + 1
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    out = []
+    for p, g, mi, vi in zip(params, grads, m, v):
+        m_new = b1 * mi + (1.0 - b1) * g
+        v_new = b2 * vi + (1.0 - b2) * g * g
+        out.append((p - lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + eps),
+                    m_new, v_new))
+    return [o[0] for o in out], [o[1] for o in out], [o[2] for o in out]
+
+
+def reference_backward(p, cache, dlogits):
+    grads = [dlogits.T @ cache.features, dlogits.sum(axis=0)]
+    dh = dlogits @ p.proxies
+    for i in range(len(p.layers) - 1, -1, -1):
+        dz = dh * (1.0 - cache.acts[i] ** 2)
+        prev = cache.acts[i - 1] if i > 0 else cache.inputs
+        grads[:0] = [prev.T @ dz, dz.sum(axis=0)]
+        dh = dz @ p.layers[i][0].T
+    return grads
+
+
+def reference_checkpoint(p):
+    dims = p.dims
+    blob = nn.CHECKPOINT_MAGIC + struct.pack("<III", nn.CHECKPOINT_VERSION,
+                                             len(dims), p.num_classes)
+    blob += struct.pack(f"<{len(dims)}I", *dims)
+    for a in arrays_of(p):
+        blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return blob
+
+
+def same_bytes(got, want):
+    return (len(got) == len(want)
+            and all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
+
+
+NET_SHAPES = [((4,), 2), ((4, 6, 5), 3), ((16, 32, 32), 7), ((3, 8, 2, 5), 4)]
+
+
+@pytest.mark.parametrize("dims,m", NET_SHAPES)
+def test_vector_algebra_matches_per_array_reference_exactly(dims, m):
+    rng = np.random.default_rng(len(dims) * 10 + m)
+    p = nn.init_params(list(dims), m, seed=3)
+    q = p.like(rng.normal(size=p.flat.size))
+    for scale in (1.0, 0.1, -2.5):
+        assert same_bytes(arrays_of(nn.add_params(p, q, scale)),
+                          reference_add_params(p, q, scale))
+    for decay in (0.0, 0.999, 0.5, 1.0):
+        assert same_bytes(arrays_of(nn.ema_update(p, q, decay)),
+                          reference_ema_update(p, q, decay))
+
+    state = nn.AdamState.init(p)
+    params = arrays_of(p)
+    m_ref = [np.zeros_like(a) for a in params]
+    v_ref = [np.zeros_like(a) for a in params]
+    for step in range(5):
+        grads = p.like(rng.normal(size=p.flat.size) * 10.0 ** (step - 2))
+        p, state = nn.adam_step(p, grads, state, lr=3e-3)
+        params, m_ref, v_ref = reference_adam_step(
+            params, arrays_of(grads), m_ref, v_ref, step, lr=3e-3)
+        assert same_bytes(arrays_of(p), params)
+        assert state.m.tobytes() == b"".join(a.tobytes() for a in m_ref)
+        assert state.v.tobytes() == b"".join(a.tobytes() for a in v_ref)
+
+    cache = nn.forward(p, rng.normal(size=(9, dims[0])))
+    dlogits = rng.normal(size=cache.logits.shape)
+    assert same_bytes(arrays_of(nn.backward(p, cache, dlogits)),
+                      reference_backward(p, cache, dlogits))
+
+
+@pytest.mark.parametrize("dims,m", NET_SHAPES)
+def test_checkpoint_bytes_match_per_array_writer(tmp_path, dims, m):
+    p = nn.init_params(list(dims), m, seed=5)
+    p = p.like(p.flat + np.random.default_rng(1).normal(size=p.flat.size))
+    path = tmp_path / "model.ckpt"
+    nn.save_params(p, str(path))
+    assert path.read_bytes() == reference_checkpoint(p)
+    assert nn.load_params(str(path)).flat.tobytes() == p.flat.tobytes()
+
+
+def test_non_finite_gradient_names_its_layer():
+    p = small_net(dims=(4, 6, 5), m=3)
+    names = ["feature layer 0", "feature layer 0", "feature layer 1",
+             "feature layer 1", "proxy layer", "proxy layer"]
+    for k, name in enumerate(names):
+        for bad in (np.nan, np.inf):
+            g = nn.zeros_like_params(p)
+            arrays_of(g)[k].flat[-1] = bad
+            with pytest.raises(NumericError, match=f"in {name}$"):
+                nn.adam_step(p, g, nn.AdamState.init(p), lr=0.1)
+
+
+def reference_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_reference_exactly():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([1000.0, -1000.0, 745.0, -745.0, 710.0, -710.0,
+                        0.0, -0.0, tiny, -tiny, 4 * tiny, -4 * tiny,
+                        np.nan, np.inf, -np.inf, 36.7, -36.7])
+    grid = np.concatenate([special, np.linspace(-800.0, 800.0, 4001),
+                           np.random.default_rng(0).normal(size=2000) * 30])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = nn.sigmoid(grid)
+        got_2d = nn.sigmoid(grid[:6000].reshape(60, 100))
+    want = reference_sigmoid(grid)
+    assert got.tobytes() == want.tobytes()
+    assert got_2d.tobytes() == want[:6000].tobytes()
+
+
+# ------------------------------------------------ checkpoint reader fuzz
+
+def _checkpoint_bytes(dims, m, seed):
+    p = nn.init_params(list(dims), m, seed=seed)
+    return reference_checkpoint(p)
+
+
+def _load_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    path.write_bytes(blob)
+    try:
+        return nn.load_params(str(path))
+    except ParseError as exc:
+        assert str(path) in str(exc)
+        return None
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+net_dims = st.lists(st.integers(1, 6), min_size=1, max_size=4)
+
+
+@FUZZ
+@given(blob=st.binary(max_size=200))
+def test_load_params_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    _load_bytes(tmp_path_factory, blob)
+    _load_bytes(tmp_path_factory, nn.CHECKPOINT_MAGIC + blob)
+
+
+@FUZZ
+@given(dims=net_dims, m=st.integers(2, 5), seed=st.integers(0, 2 ** 16),
+       cut=st.integers(0, 10 ** 6))
+def test_load_params_fuzz_truncated(tmp_path_factory, dims, m, seed, cut):
+    blob = _checkpoint_bytes(dims, m, seed)
+    cut %= len(blob)
+    assert _load_bytes(tmp_path_factory, blob[:cut]) is None
+
+
+@FUZZ
+@given(dims=net_dims, m=st.integers(2, 5), seed=st.integers(0, 2 ** 16),
+       field_idx=st.integers(0, 10 ** 6), value=st.integers(0, 2 ** 32 - 1))
+def test_load_params_fuzz_changed_header_field(tmp_path_factory, dims, m,
+                                               seed, field_idx, value):
+    blob = bytearray(_checkpoint_bytes(dims, m, seed))
+    field_idx %= 3 + len(dims)  # version, n_dims, num_classes, each dim
+    offset = 4 + 4 * field_idx
+    blob[offset:offset + 4] = struct.pack("<I", value)
+    loaded = _load_bytes(tmp_path_factory, bytes(blob))
+    if loaded is not None:
+        assert loaded.flat.size == (len(blob) - 16 - 4 * len(loaded.dims)) // 8
+
+
+@FUZZ
+@given(dims=net_dims, m=st.integers(2, 5), seed=st.integers(0, 2 ** 16))
+def test_save_load_round_trip_is_byte_identical(tmp_path_factory, dims, m,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    p = nn.init_params(list(dims), m, seed=seed)
+    p = p.like(rng.normal(size=p.flat.size) * 10.0 ** rng.integers(-300, 300))
+    first = tmp_path_factory.mktemp("rt") / "a.ckpt"
+    nn.save_params(p, str(first))
+    q = nn.load_params(str(first))
+    second = first.with_name("b.ckpt")
+    nn.save_params(q, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert q.dims == p.dims and q.num_classes == p.num_classes

@@ -5,7 +5,7 @@ import pytest
 
 from fedlsm import nn
 from fedlsm.client import ClientConfig, ClientUpdate
-from fedlsm.data import FederationConfig, gen_federation
+from fedlsm.data import EvalSet, FederationConfig, gen_federation
 from fedlsm.errors import AggregationError, ConfigError
 from fedlsm.server import (aggregate, aggregate_features, aggregate_proxies,
                            evaluate, run_federation)
@@ -27,7 +27,7 @@ def test_single_client_aggregation_is_identity():
 def test_feature_aggregation_weighting_oracle():
     a = make_update(0, 1, [1.0, 1.0], seed=1)
     b = make_update(1, 3, [1.0, 1.0], seed=2)
-    layers = aggregate_features([a, b])
+    layers = aggregate_features([a, b]).layers
     expected = 0.25 * a.params.layers[0][0] + 0.75 * b.params.layers[0][0]
     assert np.allclose(layers[0][0], expected)
 
@@ -173,7 +173,8 @@ def test_run_federation_on_round_callback():
 def test_evaluate_requires_data():
     params = nn.init_params([4, 6], 3, seed=0)
     with pytest.raises(ConfigError):
-        evaluate(params, [], "single")
+        evaluate(params, EvalSet(x=np.zeros((0, 3)), truth=np.zeros((0, 2))),
+                 "single")
 
 
 def test_multi_label_fedlsm_when_a_client_identifies_every_class():

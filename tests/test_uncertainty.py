@@ -98,7 +98,7 @@ def test_score_dataset_multi_uses_unknown_columns():
 def test_score_dataset_matches_per_row_entropies_exactly(m):
     rng = np.random.default_rng(m)
     params = nn.init_params([4, 6], m, seed=m)
-    params.proxies *= 8.0  # spread the outputs from near-uniform to saturated
+    params.proxies[...] *= 8.0  # spread outputs from near-uniform to saturated
     xs = rng.normal(size=(64, 4)) * 3
     logits = nn.forward(params, xs).logits
     single = np.array([entropy_single(p) for p in nn.softmax(logits)])
