@@ -3,7 +3,6 @@
 Verbs:
   run        train one mode across seeds; JSONL per seed plus a summary CSV
   compare    diff two finished runs that trained on identical data
-  gen-data   materialize a federation as CSV files
   gradcheck  finite-difference audit of the backward pass
 
 Report files are deterministic byte for byte given the config: anything
@@ -18,7 +17,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +26,8 @@ from . import nn
 from .client import PseudoLabelDecision, loss_identified, loss_ude, \
     loss_unknown
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
-                     config_to_dict, data_fingerprint, load_config)
-from .data import gen_federation, save_csv
+                     data_fingerprint, load_config)
+from .data import gen_federation
 from .errors import ConfigError, NumericError, ParseError
 from .server import run_federation
 
@@ -53,9 +52,7 @@ def _dumps(obj) -> str:
         raise NumericError(f"non-finite value in report: {e}") from e
 
 
-def _out_root(explicit: str | None) -> Path:
-    if explicit:
-        return Path(explicit)
+def _out_root() -> Path:
     return Path(os.environ.get("FEDLSM_OUTPUT_DIR", "runs"))
 
 
@@ -72,10 +69,10 @@ def cmd_run(args) -> int:
     if args.output_dir:
         outdir = Path(args.output_dir)
     else:
-        outdir = _out_root(None) / (args.name or cfg.mode)
+        outdir = _out_root() / (args.name or cfg.mode)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    record = {"config": config_to_dict(cfg),
+    record = {"config": asdict(cfg),
               "data_fingerprint": data_fingerprint(cfg)}
     (outdir / "run.json").write_text(_dumps(record) + "\n", encoding="utf-8")
 
@@ -158,7 +155,7 @@ def cmd_compare(args) -> int:
     if args.output_dir:
         outdir = Path(args.output_dir)
     else:
-        outdir = _out_root(None) / f"compare-{label_a}-vs-{label_b}"
+        outdir = _out_root() / f"compare-{label_a}-vs-{label_b}"
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = ["metric,mean_a,std_a,mean_b,std_b,delta"]
@@ -192,34 +189,6 @@ def cmd_compare(args) -> int:
     print(f"{'metric':<16} {label_a:>12} {label_b:>12} {'delta':>9}")
     for metric, (ma, mb, delta) in deltas.items():
         print(f"{metric:<16} {ma:>12.4f} {mb:>12.4f} {delta:>+9.4f}")
-    print(f"wrote {outdir}")
-    return 0
-
-
-# ---------------------------------------------------------------- gen-data
-
-def cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = Path(args.output_dir) if args.output_dir \
-        else _out_root(None) / "data"
-    outdir.mkdir(parents=True, exist_ok=True)
-    fed = gen_federation(cfg.federation)
-    files = {}
-    for spec, client, truth in zip(fed.specs, fed.clients, fed.truth):
-        name = f"client{spec.client_id}.csv"
-        save_csv(str(outdir / name), client.x, client.values, client.known,
-                 truth)
-        files[name] = {"client_id": spec.client_id,
-                       "identified": list(spec.identified),
-                       "n_samples": spec.n_samples}
-    for name, held_out in (("val", fed.val), ("test", fed.test)):
-        save_csv(str(outdir / f"{name}.csv"), held_out.x, held_out.truth,
-                 np.ones(held_out.truth.shape, dtype=bool), held_out.truth)
-    manifest = {"federation": config_to_dict(cfg)["federation"],
-                "clients": files, "n_val": len(fed.val),
-                "n_test": len(fed.test)}
-    (outdir / "manifest.json").write_text(_dumps(manifest) + "\n",
-                                          encoding="utf-8")
     print(f"wrote {outdir}")
     return 0
 
@@ -335,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("run_b", help="candidate run directory")
     p_cmp.add_argument("--output-dir")
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_gen = sub.add_parser("gen-data", help="write a federation as CSV")
-    p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--set", action="append", default=[], metavar="K=V")
-    p_gen.add_argument("--output-dir")
-    p_gen.set_defaults(func=cmd_gen_data)
 
     p_gc = sub.add_parser("gradcheck",
                           help="audit analytic gradients numerically")

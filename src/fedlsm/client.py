@@ -55,13 +55,6 @@ class ClientConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.99
     adam_eps: float = 1e-8
-    # How the single-label pseudo loss is normalized: by the number of
-    # kept samples ("kept") or by all unlabeled samples in the batch
-    # ("unlabeled").
-    pseudo_loss_norm: str = "kept"
-    # Optional per-class positive weights for the multi-label BCE; when
-    # None they are derived from the client's known label counts.
-    class_weights: np.ndarray | None = None
     use_pseudo: bool = True  # False: plain supervised training on known labels
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
@@ -86,9 +79,6 @@ class ClientConfig:
             raise ConfigError(f"{path}: bad local_iters/batch_size")
         if self.frac_l < 0 or self.frac_h < 0 or self.frac_l + self.frac_h > 1:
             raise ConfigError(f"{path}: need frac_l + frac_h <= 1")
-        if self.pseudo_loss_norm not in ("kept", "unlabeled"):
-            raise ConfigError(f"{path}: pseudo_loss_norm must be "
-                              "'kept' or 'unlabeled'")
         if self.task not in ("single", "multi"):
             raise ConfigError(f"{path}: task must be 'single' or 'multi'")
 
@@ -175,6 +165,12 @@ def _hard_label_ce(logits: np.ndarray, rows: np.ndarray, klass: np.ndarray,
     return float(loss / denom), dlogits / denom
 
 
+def _sigmoid_and_logs(logits: np.ndarray):
+    """sigma(logits) with stable log sigma and log(1 - sigma) via softplus."""
+    return (nn.sigmoid(logits), -np.logaddexp(0.0, -logits),
+            -np.logaddexp(0.0, logits))
+
+
 def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
                     task: str, class_weights: np.ndarray | None = None):
     """Supervised loss on known labels -> (loss, dloss/dlogits).
@@ -199,34 +195,30 @@ def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
         return 0.0, np.zeros_like(logits)
     w = np.ones(m) if class_weights is None else np.asarray(class_weights,
                                                             dtype=np.float64)
-    sig = nn.sigmoid(logits)
-    # Stable log sigma and log(1 - sigma) via softplus.
-    log_sig = -np.logaddexp(0.0, -logits)
-    log_one_minus = -np.logaddexp(0.0, logits)
+    sig, log_sig, log_one_minus = _sigmoid_and_logs(logits)
     per_entry = -(w * values * log_sig + (1.0 - values) * log_one_minus)
     loss = float((mask * per_entry).sum() / count)
     dlogits = mask * (-w * values * (1.0 - sig) + (1.0 - values) * sig) / count
     return loss, dlogits
 
 
-def loss_unknown(logits: np.ndarray, decisions: PseudoLabelDecision, task: str,
-                 denom: int | None = None):
+def loss_unknown(logits: np.ndarray, decisions: PseudoLabelDecision,
+                 task: str):
     """Pseudo-label loss on strong views -> (loss, dloss/dlogits).
 
     Single-label: cross-entropy against the kept hard pseudo labels,
-    normalized by `denom` (kept count by default).  Multi-label: positive
-    verdicts pull log(sigma) up, negative verdicts pull log(1 - sigma),
-    normalized by the batch size.  Abstaining entries contribute nothing.
+    normalized by the kept count.  Multi-label: positive verdicts pull
+    log(sigma) up, negative verdicts pull log(1 - sigma), normalized by
+    the batch size.  Abstaining entries contribute nothing.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if task == "single":
         kept_idx = np.flatnonzero(decisions.kept)
-        if denom is None:
-            denom = len(kept_idx)
-        if denom == 0 or len(kept_idx) == 0:
+        if len(kept_idx) == 0:
             return 0.0, np.zeros_like(logits)
         return _hard_label_ce(logits, kept_idx,
-                              np.asarray(decisions.klass)[kept_idx], denom)
+                              np.asarray(decisions.klass)[kept_idx],
+                              len(kept_idx))
 
     n = logits.shape[0]
     state = decisions.state
@@ -234,9 +226,7 @@ def loss_unknown(logits: np.ndarray, decisions: PseudoLabelDecision, task: str,
     neg = (state == -1).astype(np.float64)
     if pos.sum() + neg.sum() == 0:
         return 0.0, np.zeros_like(logits)
-    sig = nn.sigmoid(logits)
-    log_sig = -np.logaddexp(0.0, -logits)
-    log_one_minus = -np.logaddexp(0.0, logits)
+    sig, log_sig, log_one_minus = _sigmoid_and_logs(logits)
     loss = float(-(pos * log_sig + neg * log_one_minus).sum() / n)
     dlogits = (pos * (sig - 1.0) + neg * sig) / n
     return loss, dlogits
@@ -268,9 +258,7 @@ def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
     count = valid.sum()
     if count == 0:
         return 0.0, np.zeros_like(logits)
-    sig = nn.sigmoid(logits)
-    log_sig = -np.logaddexp(0.0, -logits)
-    log_one_minus = -np.logaddexp(0.0, logits)
+    sig, log_sig, log_one_minus = _sigmoid_and_logs(logits)
     per_entry = -(targets * log_sig + (1.0 - targets) * log_one_minus)
     loss = float((valid * per_entry).sum() / count)
     dlogits = valid * (sig - targets) / count
@@ -436,9 +424,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     adam = nn.AdamState.init(student, beta1=cfg.adam_beta1,
                              beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     edd = _label_counts(values, known, spec, cfg.task)
-    class_weights = cfg.class_weights
-    if cfg.task == "multi" and class_weights is None:
-        class_weights = compute_class_weights(values, known, spec.identified)
+    class_weights = compute_class_weights(values, known, spec.identified) \
+        if cfg.task == "multi" else None
 
     if cfg.use_pseudo:
         part = partition(x, global_params, cfg.task, spec.unknown,
@@ -483,17 +470,14 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
                 # Labeled samples belong to the supervised loss, never the
                 # pseudo loss.
                 dec.kept &= unlabeled[batch_idx]
-                denom = int(dec.kept.sum()) if cfg.pseudo_loss_norm == "kept" \
-                    else int(unlabeled[batch_idx].sum())
                 hits = dec.kept[:, None] & (dec.klass[:, None] == np.arange(m))
             else:
                 dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
                                    cfg.tau_n)
-                denom = cfg.batch_size
                 hits = dec.state == 1
 
             cache_s = nn.forward(student, x_strong)
-            l_u, dl_s = loss_unknown(cache_s.logits, dec, cfg.task, denom)
+            l_u, dl_s = loss_unknown(cache_s.logits, dec, cfg.task)
             grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
 
             if cfg.ude_weight > 0:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .client import ClientConfig
-from .data import AugmentConfig, FederationConfig
+from .data import FederationConfig
 from .errors import ConfigError, ParseError
+from .server import MODES, PROXY_MODES
 
 CONFIG_VERSION = 1
 
@@ -35,7 +34,7 @@ class ExperimentConfig:
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"version: expected {CONFIG_VERSION}, "
                               f"got {self.version}")
-        if self.mode not in ("fedlsm", "fedavg_masked", "fedavg_full"):
+        if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if self.rounds < 1:
             raise ConfigError("rounds: need >= 1")
@@ -49,18 +48,13 @@ class ExperimentConfig:
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need positive layer sizes")
         if self.proxy_aggregation is not None and \
-                self.proxy_aggregation not in ("awpa", "fedavg"):
+                self.proxy_aggregation not in PROXY_MODES:
             raise ConfigError("proxy_aggregation: must be null, 'awpa' "
                               "or 'fedavg'")
         self.federation.validate("federation")
         self.client.validate("client")
         if self.client.task != self.federation.task:
             raise ConfigError("client.task must match federation.task")
-        cw = self.client.class_weights
-        if cw is not None and len(cw) != self.federation.n_classes:
-            raise ConfigError(
-                f"client.class_weights: need {self.federation.n_classes} "
-                f"entries, got {len(cw)}")
 
 
 _SCALAR = {int: "an integer", float: "a number", str: "a string",
@@ -99,41 +93,23 @@ def _check_keys(d: dict, allowed, path: str) -> None:
 
 
 def _build_simple(dc_cls, d: dict, path: str):
-    """Build a flat dataclass of scalar fields from a dict, strictly."""
+    """Build a dataclass of scalar fields from a dict, strictly.
+
+    A field whose default is itself a dataclass is built from the nested
+    object under the same rules.
+    """
     proto = dc_cls()
     names = [f.name for f in fields(dc_cls)]
     _check_keys(d, names, path)
     kwargs = {}
     for name in names:
         default = getattr(proto, name)
-        kwargs[name] = _get(d, name, type(default), path, default)
-    return dc_cls(**kwargs)
-
-
-def _build_client(d: dict, path: str = "client") -> ClientConfig:
-    proto = ClientConfig()
-    names = [f.name for f in fields(ClientConfig)]
-    _check_keys(d, names, path)
-    kwargs = {}
-    for name in names:
-        if name == "augment":
-            kwargs[name] = _build_simple(AugmentConfig, d.get(name, {}),
-                                         f"{path}.augment")
-        elif name == "class_weights":
-            v = d.get(name)
-            if v is None:
-                kwargs[name] = None
-            elif isinstance(v, list) and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in v):
-                kwargs[name] = np.asarray(v, dtype=np.float64)
-            else:
-                raise ConfigError(f"{path}.class_weights: expected null or a "
-                                  "list of numbers")
+        if is_dataclass(default):
+            kwargs[name] = _build_simple(type(default), d.get(name, {}),
+                                         f"{path}.{name}")
         else:
-            default = getattr(proto, name)
             kwargs[name] = _get(d, name, type(default), path, default)
-    return ClientConfig(**kwargs)
+    return dc_cls(**kwargs)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -148,7 +124,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         proxy_aggregation=d.get("proxy_aggregation", proto.proxy_aggregation),
         federation=_build_simple(FederationConfig, d.get("federation", {}),
                                  "federation"),
-        client=_build_client(d.get("client", {})),
+        client=_build_simple(ClientConfig, d.get("client", {}), "client"),
     )
     # The client's task always follows the data; saying it twice is fine,
     # contradicting it is not (validate catches that).
@@ -156,14 +132,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         cfg.client.task = cfg.federation.task
     cfg.validate()
     return cfg
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    cw = d["client"]["class_weights"]
-    if cw is not None:
-        d["client"]["class_weights"] = [float(x) for x in cw]
-    return d
 
 
 def load_config(path: str) -> dict:
@@ -213,11 +181,10 @@ def data_fingerprint(cfg: ExperimentConfig) -> str:
     Two runs with equal fingerprints trained and evaluated on identical
     federations, so their metrics are directly comparable.
     """
-    d = config_to_dict(cfg)
-    fed = dict(d["federation"])
-    # Each run seed re-seeds the federation, so the standalone data seed
-    # (used by gen-data only) does not affect what a run trains on.
+    fed = asdict(cfg.federation)
+    # Each run seed re-seeds the federation, so federation.seed, which
+    # every run overrides, does not affect what a run trains on.
     fed.pop("seed")
-    basis = {"federation": fed, "seeds": d["seeds"]}
+    basis = {"federation": fed, "seeds": cfg.seeds}
     blob = json.dumps(basis, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

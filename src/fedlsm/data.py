@@ -13,13 +13,12 @@ whose hidden class is not identified becomes fully unlabeled.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 
 COVERAGE_ATTEMPTS = 1000
 
@@ -194,7 +193,7 @@ def gen_federation(cfg: FederationConfig) -> Federation:
             return _draw_single_label(n, centers, cfg, rng)
     else:
         directions = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
-        threshold = norm.ppf(1.0 - cfg.positive_rate)
+        threshold = ndtri(1.0 - cfg.positive_rate)
 
         def draw(n):
             return _draw_multi_label(n, directions, threshold, cfg, rng)
@@ -234,92 +233,18 @@ def unmask_labels(x: np.ndarray, truth: np.ndarray) -> ClientData:
                       known=np.ones(truth.shape, dtype=bool))
 
 
-def _weak_noise(x: np.ndarray, rng: np.random.Generator,
-                cfg: AugmentConfig) -> np.ndarray:
-    return x + cfg.sigma_weak * rng.standard_normal(x.shape)
-
-
-def _strong_noise(x: np.ndarray, rng: np.random.Generator,
-                  cfg: AugmentConfig) -> np.ndarray:
-    out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
-    out = out * rng.uniform(1.0 - cfg.scale_jitter, 1.0 + cfg.scale_jitter, x.shape)
-    if cfg.drop_prob > 0:
-        out = np.where(rng.random(x.shape) < cfg.drop_prob, 0.0, out)
-    return out
-
-
-def augment_weak(x: np.ndarray, seed: int,
-                 cfg: AugmentConfig | None = None) -> np.ndarray:
-    """Small additive-noise view of x, deterministic per seed."""
-    cfg = cfg or AugmentConfig()
-    return _weak_noise(np.asarray(x, dtype=np.float64),
-                       np.random.default_rng(seed), cfg)
-
-
-def augment_strong(x: np.ndarray, seed: int,
-                   cfg: AugmentConfig | None = None) -> np.ndarray:
-    """Noise + coordinate scaling + dropout view of x, deterministic per seed."""
-    cfg = cfg or AugmentConfig()
-    return _strong_noise(np.asarray(x, dtype=np.float64),
-                         np.random.default_rng(seed), cfg)
-
-
 def augment_weak_batch(xs: np.ndarray, rng: np.random.Generator,
                        cfg: AugmentConfig) -> np.ndarray:
-    return _weak_noise(xs, rng, cfg)
+    """Small additive-noise view of each row of xs."""
+    return xs + cfg.sigma_weak * rng.standard_normal(xs.shape)
 
 
 def augment_strong_batch(xs: np.ndarray, rng: np.random.Generator,
                          cfg: AugmentConfig) -> np.ndarray:
-    return _strong_noise(xs, rng, cfg)
-
-
-def save_csv(path: str, x: np.ndarray, values: np.ndarray,
-             known: np.ndarray, truth: np.ndarray) -> None:
-    """Write rows of d features, M label values, M masks, M truths."""
-    d, m = x.shape[1], truth.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"x{i}" for i in range(d)]
-                        + [f"y{c}" for c in range(m)]
-                        + [f"mask{c}" for c in range(m)]
-                        + [f"true{c}" for c in range(m)])
-        for row in zip(x, values, known, truth):
-            writer.writerow([repr(float(v)) for v in row[0]]
-                            + [int(v) for part in row[1:] for v in part])
-
-
-def load_csv(path: str) -> tuple[ClientData, np.ndarray]:
-    """Inverse of save_csv -> (rows, truth).  Raises ParseError naming the
-    offending line.  An empty file holds zero rows of zero columns."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        return ClientData(x=np.zeros((0, 0)), values=np.zeros((0, 0)),
-                          known=np.zeros((0, 0), dtype=bool)), np.zeros((0, 0))
-    header = rows[0]
-    d = sum(1 for name in header if name.startswith("x"))
-    m = sum(1 for name in header if name.startswith("y"))
-    expected = d + 3 * m
-    if d == 0 or m == 0 or len(header) != expected:
-        raise ParseError(f"{path}:1: malformed header")
-    cells = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != expected:
-            raise ParseError(f"{path}:{lineno}: expected {expected} columns, "
-                             f"got {len(row)}")
-        try:
-            floats = [float(v) for v in row[:d + m]]
-            mask_ints = [int(v) for v in row[d + m:d + 2 * m]]
-            truth = [float(v) for v in row[d + 2 * m:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(floats + truth).all():
-            raise ParseError(f"{path}:{lineno}: non-finite value")
-        if any(v not in (0, 1) for v in mask_ints):
-            raise ParseError(f"{path}:{lineno}: mask cells must be 0 or 1")
-        cells.append(floats + mask_ints + truth)
-    table = np.array(cells, dtype=np.float64).reshape(-1, expected)
-    data = ClientData(x=table[:, :d].copy(), values=table[:, d:d + m].copy(),
-                      known=table[:, d + m:d + 2 * m].astype(bool))
-    return data, table[:, d + 2 * m:].copy()
+    """Noise + coordinate scaling + dropout view of each row of xs."""
+    out = xs + cfg.sigma_strong * rng.standard_normal(xs.shape)
+    out = out * rng.uniform(1.0 - cfg.scale_jitter, 1.0 + cfg.scale_jitter,
+                            xs.shape)
+    if cfg.drop_prob > 0:
+        out = np.where(rng.random(xs.shape) < cfg.drop_prob, 0.0, out)
+    return out

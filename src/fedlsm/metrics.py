@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError
 
@@ -37,7 +36,8 @@ class EvalResult:
 def roc_auc(scores, labels) -> float:
     """Rank-based AUC: P(score_pos > score_neg) + 0.5 * P(tie).
 
-    Uses midranks, so ties contribute one half.
+    Uses midranks, so ties contribute one half.  A NaN score makes the
+    AUC NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -45,7 +45,11 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, "left")
+             + np.searchsorted(ordered, scores, "right") + 1) / 2.0
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

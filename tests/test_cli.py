@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: verbs, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedlsm
 from fedlsm import nn
 from fedlsm.cli import main
-from fedlsm.data import load_csv
 
 TINY = {
     "version": 1,
@@ -126,17 +130,21 @@ def test_compare_rejects_non_run_dir(tmp_path):
                    str(tmp_path / "stuff")) == 1
 
 
-def test_gen_data_writes_csvs(tiny_config, tmp_path):
-    out = tmp_path / "data"
+def test_gen_data_verb_is_gone(tiny_config, tmp_path):
     assert run_cli("gen-data", "--config", tiny_config,
-                   "--output-dir", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["clients"]) == 2
-    client0, _ = load_csv(str(out / "client0.csv"))
-    assert len(client0) == 20
-    test_set, _ = load_csv(str(out / "test.csv"))
-    assert len(test_set) == 20
-    assert test_set.known.all()
+                   "--output-dir", str(tmp_path / "data")) == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; nothing needs it.
+    src = str(Path(fedlsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fedlsm, fedlsm.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_exit_code_one_for_config_problems(tmp_path):

@@ -132,9 +132,6 @@ def test_loss_unknown_single_oracle_and_denominator():
     loss, dlogits = loss_unknown(logits, dec, "single")
     assert loss == pytest.approx(LN2)
     assert np.allclose(dlogits, [[0.5, -0.5], [0.0, 0.0]])
-    loss2, dl2 = loss_unknown(logits, dec, "single", denom=2)
-    assert loss2 == pytest.approx(LN2 / 2)
-    assert np.allclose(dl2, np.asarray(dlogits) / 2)
 
 
 def test_loss_unknown_single_no_kept_is_zero():
@@ -386,8 +383,6 @@ def test_client_config_validation():
         ClientConfig(ude_batch_size=128, batch_size=64).validate()
     with pytest.raises(ConfigError, match="frac"):
         ClientConfig(frac_l=0.8, frac_h=0.3).validate()
-    with pytest.raises(ConfigError, match="pseudo_loss_norm"):
-        ClientConfig(pseudo_loss_norm="mean").validate()
 
 
 def test_compute_class_weights_multi():
@@ -429,11 +424,10 @@ def reference_loss_identified_single(logits, labels):
     return float(loss / count), dlogits / count
 
 
-def reference_loss_unknown_single(logits, decisions, denom=None):
+def reference_loss_unknown_single(logits, decisions):
     kept_idx = np.flatnonzero(decisions.kept)
-    if denom is None:
-        denom = len(kept_idx)
-    if denom == 0 or len(kept_idx) == 0:
+    denom = len(kept_idx)
+    if denom == 0:
         return 0.0, np.zeros_like(logits)
     log_p = nn.log_softmax(logits)
     probs = np.exp(log_p)
@@ -542,11 +536,10 @@ def test_single_label_losses_match_per_row_reference_exactly(seed):
 
     dec = PseudoLabelDecision(kept=rng.random(n) < 0.4,
                               klass=rng.integers(m, size=n))
-    for denom in (None, n):
-        got = loss_unknown(logits, dec, "single", denom)
-        want = reference_loss_unknown_single(logits, dec, denom)
-        assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
+    got = loss_unknown(logits, dec, "single")
+    want = reference_loss_unknown_single(logits, dec)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def reference_setup(task, seed):

@@ -1,11 +1,12 @@
 """Config parsing, validation paths, overrides, fingerprints."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from fedlsm.config import (apply_overrides, config_from_dict, config_to_dict,
-                           data_fingerprint, load_config)
+from fedlsm.config import (apply_overrides, config_from_dict, data_fingerprint,
+                           load_config)
 from fedlsm.errors import ConfigError, ParseError
 
 
@@ -38,6 +39,9 @@ def test_unknown_keys_name_their_path():
     with pytest.raises(ConfigError, match="client.augment.sigma"):
         config_from_dict({"version": 1,
                           "client": {"augment": {"sigma": 0.1}}})
+    for removed in ("pseudo_loss_norm", "class_weights"):
+        with pytest.raises(ConfigError, match=f"client.{removed}: unknown"):
+            config_from_dict({"version": 1, "client": {removed: None}})
 
 
 def test_type_errors_name_their_path():
@@ -54,9 +58,6 @@ def test_semantic_validation():
         config_from_dict({"version": 1, "seeds": [1, 1]})
     with pytest.raises(ConfigError, match="mode"):
         config_from_dict({"version": 1, "mode": "thebest"})
-    with pytest.raises(ConfigError, match="class_weights"):
-        config_from_dict({"version": 1,
-                          "client": {"class_weights": [1.0, 1.0]}})
 
 
 def test_client_task_follows_federation():
@@ -94,17 +95,21 @@ def test_fingerprint_tracks_data_not_mode():
     assert data_fingerprint(a) != data_fingerprint(c)
     d = config_from_dict({"version": 1, "seeds": [5]})
     assert data_fingerprint(a) != data_fingerprint(d)
-    # the standalone data seed only matters for gen-data, not for runs
+    # each run seed overrides federation.seed, so it does not change the data
     e = config_from_dict({"version": 1, "federation": {"seed": 99}})
     assert data_fingerprint(a) == data_fingerprint(e)
 
 
 def test_config_roundtrips_through_dict():
-    cfg = config_from_dict({"version": 1,
-                            "client": {"class_weights": [1.0, 2.0, 1.0, 1.0,
-                                                         1.0, 1.0, 3.0]}})
-    again = config_from_dict(config_to_dict(cfg))
-    assert config_to_dict(again) == config_to_dict(cfg)
+    d = minimal()
+    apply_overrides(d, ["client.augment.sigma_strong=0.6",
+                        "client.augment.drop_prob=0"])
+    cfg = config_from_dict(d)
+    assert cfg.client.augment.sigma_strong == 0.6
+    assert cfg.client.augment.drop_prob == 0.0
+    assert cfg.client.augment.sigma_weak == 0.02
+    again = config_from_dict(asdict(cfg))
+    assert asdict(again) == asdict(cfg)
 
 
 def test_load_config_errors(tmp_path):

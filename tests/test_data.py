@@ -1,12 +1,14 @@
-"""Synthetic federations, label masking, augmentation, CSV round trips."""
+"""Synthetic federations, label masking, augmentation."""
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+from fedlsm import data
 from fedlsm.data import (AugmentConfig, ClientSpec, FederationConfig,
-                         augment_strong, augment_weak, gen_federation,
-                         load_csv, mask_labels, save_csv, unmask_labels)
-from fedlsm.errors import ConfigError, ParseError
+                         augment_strong_batch, augment_weak_batch,
+                         gen_federation, mask_labels, unmask_labels)
+from fedlsm.errors import ConfigError
 
 
 def tiny_cfg(**kw):
@@ -120,50 +122,38 @@ def test_multi_label_positive_rate():
     assert 0.2 < rate < 0.4
 
 
+def test_multi_label_threshold_is_the_normal_quantile(monkeypatch):
+    # ndtri stands in for scipy.stats.norm.ppf, which costs most of the
+    # package's import time; the federation depends on the exact bits.
+    rates = (0.3, 0.013, 0.9, 0.1, 0.25, 0.5, 0.7, 0.05, 0.99, 0.001)
+    for rate in rates:
+        assert data.ndtri(1.0 - rate).tobytes() == \
+            norm.ppf(1.0 - rate).tobytes()
+    fed = gen_federation(tiny_cfg(task="multi"))
+    monkeypatch.setattr(data, "ndtri", norm.ppf)
+    ref = gen_federation(tiny_cfg(task="multi"))
+    assert fed.test.truth.tobytes() == ref.test.truth.tobytes()
+    for got, want in zip(fed.clients, ref.clients):
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_augment_determinism_and_scale():
-    x = np.linspace(-1, 1, 10)
+    x = np.linspace(-1, 1, 10).reshape(2, 5)
     cfg = AugmentConfig()
-    w1 = augment_weak(x, seed=3, cfg=cfg)
-    w2 = augment_weak(x, seed=3, cfg=cfg)
-    assert np.array_equal(w1, w2)
+
+    def weak(seed):
+        return augment_weak_batch(x, np.random.default_rng(seed), cfg)
+
+    def strong(seed):
+        return augment_strong_batch(x, np.random.default_rng(seed), cfg)
+
+    w1 = weak(3)
+    assert np.array_equal(w1, weak(3))
     assert np.linalg.norm(w1 - x) < 0.5
-    s1 = augment_strong(x, seed=3, cfg=cfg)
-    s2 = augment_strong(x, seed=4, cfg=cfg)
-    assert not np.array_equal(s1, s2)
+    s1 = strong(3)
+    assert np.array_equal(s1, strong(3))
+    assert not np.array_equal(s1, strong(4))
     assert np.linalg.norm(s1 - x) > np.linalg.norm(w1 - x)
-
-
-def test_csv_roundtrip(tmp_path):
-    fed = gen_federation(tiny_cfg())
-    path = tmp_path / "client0.csv"
-    a = fed.clients[0]
-    save_csv(str(path), a.x, a.values, a.known, fed.truth[0])
-    b, truth = load_csv(str(path))
-    assert len(b) == len(a)
-    assert np.array_equal(a.x, b.x)  # repr round-trips floats exactly
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.known, b.known)
-    assert np.array_equal(fed.truth[0], truth)
-
-
-def test_csv_errors_name_the_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x0,y0,mask0,true0\n0.5,1,1,1\n0.5,1,1\n")
-    with pytest.raises(ParseError, match=r"bad\.csv:3"):
-        load_csv(str(path))
-    path.write_text("x0,y0,mask0,true0\nnotafloat,1,1,1\n")
-    with pytest.raises(ParseError, match=r"bad\.csv:2"):
-        load_csv(str(path))
-    path.write_text("a,b\n")
-    with pytest.raises(ParseError, match="header"):
-        load_csv(str(path))
-
-
-def test_csv_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    data, truth = load_csv(str(path))
-    assert len(data) == 0 and truth.size == 0
 
 
 def test_federation_config_validation():
@@ -173,19 +163,3 @@ def test_federation_config_validation():
         tiny_cfg(task="triple").validate()
     with pytest.raises(ConfigError, match="classes_per_client"):
         tiny_cfg(classes_per_client=9).validate()
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-def test_csv_rejects_non_finite_features(tmp_path, cell):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"x0,y0,mask0,true0\n0.5,1,1,1\n{cell},1,1,1\n")
-    with pytest.raises(ParseError, match=r"bad\.csv:3: non-finite"):
-        load_csv(str(path))
-
-
-@pytest.mark.parametrize("cell", ["2", "-1"])
-def test_csv_rejects_mask_cells_other_than_0_or_1(tmp_path, cell):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"x0,y0,mask0,true0\n0.5,1,{cell},1\n")
-    with pytest.raises(ParseError, match=r"bad\.csv:2: mask"):
-        load_csv(str(path))

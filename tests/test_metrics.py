@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from fedlsm.errors import ConfigError
 from fedlsm.metrics import UndefinedMetricError, macro_metrics, roc_auc
@@ -42,6 +43,27 @@ def test_roc_auc_matches_brute_force():
         scores = np.round(rng.random(n), 2)  # rounding forces ties
         assert roc_auc(scores, labels) == \
             pytest.approx(brute_force_auc(scores, labels), abs=1e-12)
+
+
+def test_roc_auc_equals_the_rankdata_formula_exactly():
+    # roc_auc's own midranks replace scipy.stats.rankdata; reports depend
+    # on the exact bits.
+    rng = np.random.default_rng(1)
+    for i in range(300):
+        n = int(rng.integers(2, 200))
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        scores = rng.random(n)
+        if i % 3:
+            scores = np.round(scores, i % 3 - 1)  # few distinct values
+        n_pos = int(labels.sum())
+        want = (rankdata(scores)[labels == 1].sum()
+                - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+        assert roc_auc(scores, labels) == want
+
+
+def test_roc_auc_nan_score_gives_nan():
+    assert np.isnan(roc_auc([0.1, np.nan, 0.3], [0, 1, 1]))
 
 
 def test_roc_auc_undefined_on_single_class():
