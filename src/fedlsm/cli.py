@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .client import PseudoLabelDecision, loss_identified, loss_ude, \
-    loss_unknown
+from .client import loss_identified, loss_ude, loss_unknown
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      data_fingerprint, load_config)
 from .data import gen_federation
@@ -119,21 +118,56 @@ def cmd_run(args) -> int:
 
 # ---------------------------------------------------------------- compare
 
+def _text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text") from e
+
+
+def _json(text: str, path: Path, line: int = 0):
+    """Parsed text; a ParseError names path:line (the line within text
+    when line is 0)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}:{line or e.lineno}: invalid JSON: "
+                         f"{e.msg}") from e
+
+
+def _field(obj, dotted: str, kind, where):
+    """obj[a][b]... for dotted key a.b..., which must hold a `kind`."""
+    for key in dotted.split("."):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ParseError(f"{where}: missing {dotted}")
+        obj = obj[key]
+    if not isinstance(obj, kind) or isinstance(obj, bool):
+        raise ParseError(f"{where}: {dotted} has the wrong type")
+    return obj
+
+
 def _load_run(path: Path):
     run_file = path / "run.json"
     if not run_file.is_file():
         raise ConfigError(f"{path}: not a run directory (missing run.json)")
-    record = json.loads(run_file.read_text(encoding="utf-8"))
-    seeds = record["config"]["seeds"]
+    record = _json(_text(run_file), run_file)
+    seeds = _field(record, "config.seeds", list, run_file)
+    _field(record, "config.mode", str, run_file)
+    _field(record, "data_fingerprint", str, run_file)
+    if not seeds or any(type(s) is not int for s in seeds):
+        raise ParseError(f"{run_file}: config.seeds must list integers")
     curves = {}
     for s in seeds:
         seed_file = path / f"seed{s}.jsonl"
         if not seed_file.is_file():
             raise ConfigError(f"{path}: missing report for seed {s}")
-        reports = [json.loads(line) for line in
-                   seed_file.read_text(encoding="utf-8").splitlines()][1:]
+        reports = [_json(line, seed_file, i) for i, line
+                   in enumerate(_text(seed_file).splitlines(), 1)][1:]
         if not reports:
             raise ConfigError(f"{seed_file}: no round reports")
+        for i, rep in enumerate(reports, 2):
+            for metric in SUMMARY_METRICS:
+                _field(rep, metric, (int, float), f"{seed_file}:{i}")
         curves[s] = reports
     return record, curves
 
@@ -203,6 +237,7 @@ def _gradcheck_cases(rng: np.random.Generator, m: int):
         for i in range(batch_n):
             values[i, rng.integers(m)] = 1.0
             known[i] = rng.random() < 0.7
+        values *= known  # values are zero where no label is known
         return lambda logits: loss_identified(logits, values, known, "single")
 
     def supervised_multi(batch_n):
@@ -219,13 +254,13 @@ def _gradcheck_cases(rng: np.random.Generator, m: int):
     def pseudo_single(batch_n):
         kept = rng.random(batch_n) < 0.6
         klass = rng.integers(m, size=batch_n)
-        dec = PseudoLabelDecision(kept=kept, klass=klass)
-        return lambda logits: loss_unknown(logits, dec, "single")
+        hits = kept[:, None] & (klass[:, None] == np.arange(m))
+        return lambda logits: loss_unknown(logits, hits, "single")
 
     def pseudo_multi(batch_n):
-        state = rng.integers(-1, 2, size=(batch_n, m)).astype(np.int8)
-        dec = PseudoLabelDecision(state=state)
-        return lambda logits: loss_unknown(logits, dec, "multi")
+        state = rng.integers(-1, 2, size=(batch_n, m))
+        return lambda logits: loss_unknown(logits, state == 1, "multi",
+                                           state == -1)
 
     def mix_single(batch_n):
         targets = rng.dirichlet(np.ones(m), size=batch_n)

@@ -52,10 +52,6 @@ class ClientConfig:
     ude_batch_size: int = 4
     frac_l: float = 0.5
     frac_h: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-8
-    use_pseudo: bool = True  # False: plain supervised training on known labels
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self, path: str = "client") -> None:
@@ -150,86 +146,69 @@ def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
     return PseudoLabelDecision(state=state)
 
 
-def _hard_label_ce(logits: np.ndarray, rows: np.ndarray, klass: np.ndarray,
-                   denom: int):
-    """Cross-entropy of logits[rows] against classes klass, over denom.
+def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int):
+    """Softmax cross-entropy against (n, m) target rows, over denom.
 
+    Rows may be one-hot or soft; an all-zero row adds exactly nothing.
     The loss is summed row by row in index order, so it does not depend
-    on how NumPy groups a reduction.  Other rows get zero gradient.
+    on how NumPy groups a reduction.
     """
+    logits = np.asarray(logits, dtype=np.float64)
+    if denom == 0:
+        return 0.0, np.zeros_like(logits)
+    targets = np.asarray(targets, dtype=np.float64)
     log_p = nn.log_softmax(logits)
-    dlogits = np.zeros_like(logits)
-    dlogits[rows] = np.exp(log_p[rows])
-    dlogits[rows, klass] -= 1.0
-    loss = 0.0 - np.cumsum(log_p[rows, klass])[-1]
+    dlogits = np.exp(log_p) * targets.sum(axis=1, keepdims=True) - targets
+    loss = 0.0 - np.cumsum((targets * log_p).sum(axis=1))[-1]
     return float(loss / denom), dlogits / denom
 
 
-def _sigmoid_and_logs(logits: np.ndarray):
-    """sigma(logits) with stable log sigma and log(1 - sigma) via softplus."""
-    return (nn.sigmoid(logits), -np.logaddexp(0.0, -logits),
-            -np.logaddexp(0.0, logits))
+def _masked_bce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
+                denom: int, pos_weight: np.ndarray | None = None):
+    """Binary cross-entropy on the entries where mask is set, over denom;
+    pos_weight scales the positive term per class.  Logs via softplus."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if denom == 0:
+        return 0.0, np.zeros_like(logits)
+    targets = np.asarray(targets, dtype=np.float64)
+    wt = targets if pos_weight is None else pos_weight * targets
+    per_entry = -(wt * -np.logaddexp(0.0, -logits)
+                  + (1.0 - targets) * -np.logaddexp(0.0, logits))
+    diff = nn.sigmoid(logits) - targets
+    if pos_weight is not None:
+        diff *= np.where(targets > 0, pos_weight, 1.0)
+    return float((mask * per_entry).sum() / denom), mask * diff / denom
 
 
 def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
                     task: str, class_weights: np.ndarray | None = None):
     """Supervised loss on known labels -> (loss, dloss/dlogits).
 
-    values and known are the batch's (n, m) label values and trust mask.
-    Single-label: mean cross-entropy over the labeled samples; unlabeled
-    rows contribute exactly zero.  Multi-label: mean weighted BCE over the
-    known (sample, class) pairs; unknown pairs carry exactly zero gradient.
+    values and known are the batch's (n, m) label values and trust mask;
+    values are zero wherever known is not set.  Single-label: mean
+    cross-entropy over the labeled samples.  Multi-label: mean weighted
+    BCE over the known (sample, class) pairs.  Unlabeled rows and unknown
+    pairs carry exactly zero gradient.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    m = logits.shape[1]
     if task == "single":
-        rows = np.flatnonzero(known.any(axis=1))
-        if rows.size == 0:
-            return 0.0, np.zeros_like(logits)
-        return _hard_label_ce(logits, rows, values[rows].argmax(axis=1),
-                              rows.size)
-
-    mask = known.astype(np.float64)
-    count = mask.sum()
-    if count == 0:
-        return 0.0, np.zeros_like(logits)
-    w = np.ones(m) if class_weights is None else np.asarray(class_weights,
-                                                            dtype=np.float64)
-    sig, log_sig, log_one_minus = _sigmoid_and_logs(logits)
-    per_entry = -(w * values * log_sig + (1.0 - values) * log_one_minus)
-    loss = float((mask * per_entry).sum() / count)
-    dlogits = mask * (-w * values * (1.0 - sig) + (1.0 - values) * sig) / count
-    return loss, dlogits
+        return _softmax_ce(logits, values, np.count_nonzero(known.any(axis=1)))
+    return _masked_bce(logits, values, known, np.count_nonzero(known),
+                       class_weights)
 
 
-def loss_unknown(logits: np.ndarray, decisions: PseudoLabelDecision,
-                 task: str):
+def loss_unknown(logits: np.ndarray, hits: np.ndarray, task: str,
+                 negative: np.ndarray | None = None):
     """Pseudo-label loss on strong views -> (loss, dloss/dlogits).
 
-    Single-label: cross-entropy against the kept hard pseudo labels,
-    normalized by the kept count.  Multi-label: positive verdicts pull
-    log(sigma) up, negative verdicts pull log(1 - sigma), normalized by
-    the batch size.  Abstaining entries contribute nothing.
+    hits is the (n, m) matrix of confident positive pseudo labels.
+    Single-label: cross-entropy against the one-hot kept rows, normalized
+    by the kept count.  Multi-label: hits pull log(sigma) up and the
+    `negative` verdicts pull log(1 - sigma), normalized by the batch size.
+    Abstaining entries contribute nothing.
     """
-    logits = np.asarray(logits, dtype=np.float64)
     if task == "single":
-        kept_idx = np.flatnonzero(decisions.kept)
-        if len(kept_idx) == 0:
-            return 0.0, np.zeros_like(logits)
-        return _hard_label_ce(logits, kept_idx,
-                              np.asarray(decisions.klass)[kept_idx],
-                              len(kept_idx))
-
-    n = logits.shape[0]
-    state = decisions.state
-    pos = (state == 1).astype(np.float64)
-    neg = (state == -1).astype(np.float64)
-    if pos.sum() + neg.sum() == 0:
-        return 0.0, np.zeros_like(logits)
-    sig, log_sig, log_one_minus = _sigmoid_and_logs(logits)
-    loss = float(-(pos * log_sig + neg * log_one_minus).sum() / n)
-    dlogits = (pos * (sig - 1.0) + neg * sig) / n
-    return loss, dlogits
+        return _softmax_ce(logits, hits, np.count_nonzero(hits))
+    return _masked_bce(logits, hits, hits | negative, len(logits))
 
 
 def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
@@ -239,30 +218,10 @@ def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
     Multi-label entries where either MixUp member abstained are excluded
     via `valid`.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    n = logits.shape[0]
-    if n == 0:
-        return 0.0, np.zeros_like(logits)
     if task == "single":
-        log_p = nn.log_softmax(logits)
-        probs = np.exp(log_p)
-        loss = float(-(targets * log_p).sum() / n)
-        row_mass = targets.sum(axis=1, keepdims=True)
-        dlogits = (probs * row_mass - targets) / n
-        return loss, dlogits
-
-    if valid is None:
-        valid = np.ones_like(targets)
-    valid = valid.astype(np.float64)
-    count = valid.sum()
-    if count == 0:
-        return 0.0, np.zeros_like(logits)
-    sig, log_sig, log_one_minus = _sigmoid_and_logs(logits)
-    per_entry = -(targets * log_sig + (1.0 - targets) * log_one_minus)
-    loss = float((valid * per_entry).sum() / count)
-    dlogits = valid * (sig - targets) / count
-    return loss, dlogits
+        return _softmax_ce(logits, targets, len(logits))
+    mask = np.ones(np.shape(targets), dtype=bool) if valid is None else valid
+    return _masked_bce(logits, targets, mask, np.count_nonzero(mask))
 
 
 def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
@@ -398,10 +357,10 @@ def _track_verdicts(tracked: np.ndarray, batch_idx: np.ndarray,
 
 def local_train(global_params: nn.ModelParams, data: ClientData,
                 spec: ClientSpec, cfg: ClientConfig, round_idx: int,
-                seed: int) -> ClientUpdate:
+                seed: int, use_pseudo: bool = True) -> ClientUpdate:
     """Run one client round and emit the update for the server.
 
-    With cfg.use_pseudo off this is plain FedAvg-style local training:
+    With use_pseudo off this is plain FedAvg-style local training:
     the supervised loss alone, over the labeled samples (single-label) or
     all samples (multi-label), with no teacher, partition or MixUp.
 
@@ -421,13 +380,12 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     lr_t = cfg.lr / (1.0 + cfg.lr_decay * round_idx)
 
     student = teacher = global_params
-    adam = nn.AdamState.init(student, beta1=cfg.adam_beta1,
-                             beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+    adam = nn.AdamState.init(student)
     edd = _label_counts(values, known, spec, cfg.task)
     class_weights = compute_class_weights(values, known, spec.identified) \
         if cfg.task == "multi" else None
 
-    if cfg.use_pseudo:
+    if use_pseudo:
         part = partition(x, global_params, cfg.task, spec.unknown,
                          cfg.frac_l, cfg.frac_h)
         pool = np.sort(np.concatenate([part.low, part.mid]))
@@ -463,7 +421,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         grads = nn.backward(student, cache_w, dl_w)
 
         l_u = l_ude = 0.0
-        if cfg.use_pseudo:
+        if use_pseudo:
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
             if cfg.task == "single":
                 dec = pseudo_single(teacher, x_weak, spec.unknown, cfg.tau)
@@ -471,13 +429,14 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
                 # pseudo loss.
                 dec.kept &= unlabeled[batch_idx]
                 hits = dec.kept[:, None] & (dec.klass[:, None] == np.arange(m))
+                negative = None
             else:
                 dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
                                    cfg.tau_n)
-                hits = dec.state == 1
+                hits, negative = dec.state == 1, dec.state == -1
 
             cache_s = nn.forward(student, x_strong)
-            l_u, dl_s = loss_unknown(cache_s.logits, dec, cfg.task)
+            l_u, dl_s = loss_unknown(cache_s.logits, hits, cfg.task, negative)
             grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
 
             if cfg.ude_weight > 0:
@@ -498,7 +457,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
                 f"{round_idx} iter {it} (L_I={l_i}, L_U={l_u}, L_UDE={l_ude})")
         student, adam = nn.adam_step(student, grads, adam, lr_t)
         loss_sums += (l_i, l_u, l_ude)
-        if not cfg.use_pseudo:
+        if not use_pseudo:
             continue
         teacher = nn.ema_update(teacher, student, cfg.ema_decay)
         kept_total += int(hits.sum())

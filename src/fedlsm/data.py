@@ -56,7 +56,6 @@ class ClientSpec:
     client_id: int
     identified: tuple[int, ...]
     unknown: tuple[int, ...]
-    n_samples: int
 
 
 @dataclass
@@ -181,8 +180,7 @@ def gen_federation(cfg: FederationConfig) -> Federation:
     specs = []
     for k, ident in enumerate(identified_sets):
         unknown = tuple(c for c in range(cfg.n_classes) if c not in ident)
-        specs.append(ClientSpec(client_id=k, identified=ident, unknown=unknown,
-                                n_samples=cfg.samples_per_client))
+        specs.append(ClientSpec(client_id=k, identified=ident, unknown=unknown))
 
     if cfg.task == "single":
         centers = _class_directions(cfg.n_classes, cfg.feature_dim, rng)

@@ -26,6 +26,9 @@ from .errors import ConfigError, NumericError, ParseError, ShapeError
 
 CHECKPOINT_MAGIC = b"NNCP"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-8
 
 
 @lru_cache(maxsize=8)
@@ -103,15 +106,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: ModelParams, beta1: float = 0.9, beta2: float = 0.99,
-             eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
-                   step=0, beta1=beta1, beta2=beta2, eps=eps)
+    def init(cls, params: ModelParams) -> "AdamState":
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 @dataclass
@@ -211,7 +209,8 @@ def _non_finite_layer(grads: ModelParams) -> str:
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr: float) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update.  Returns fresh params and state."""
+    """One bias-corrected Adam update with ADAM_BETA1/ADAM_BETA2/ADAM_EPS.
+    Returns fresh params and state."""
     if lr <= 0:
         raise ConfigError(f"lr must be positive, got {lr}")
     g = grads.flat
@@ -219,7 +218,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
         raise NumericError(f"non-finite gradient in {_non_finite_layer(grads)}")
 
     t = state.step + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     # In place, with the operands and order of
@@ -237,8 +236,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     step = m / bc1
     step *= lr
     step /= denom
-    return params.like(params.flat - step), AdamState(
-        m=m, v=v, step=t, beta1=b1, beta2=b2, eps=eps)
+    return params.like(params.flat - step), AdamState(m=m, v=v, step=t)
 
 
 def ema_update(teacher: ModelParams, student: ModelParams,

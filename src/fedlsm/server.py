@@ -133,14 +133,14 @@ def evaluate(params: nn.ModelParams, dataset: EvalSet,
 
 
 def run_round(params: nn.ModelParams, fed: Federation, datasets: list,
-              cfg: ClientConfig, round_idx: int, seed: int,
-              proxy_mode: str) -> tuple[nn.ModelParams, list[ClientUpdate]]:
+              cfg: ClientConfig, round_idx: int, seed: int, proxy_mode: str,
+              use_pseudo: bool) -> tuple[nn.ModelParams, list[ClientUpdate]]:
     """Broadcast, train every client, aggregate.  Returns the new global
     model and the raw updates (for reporting)."""
     updates = []
     for spec, dataset in zip(fed.specs, datasets):
         updates.append(local_train(params, dataset, spec, cfg, round_idx,
-                                   seed))
+                                   seed, use_pseudo))
     return aggregate(updates, proxy_mode), updates
 
 
@@ -163,30 +163,22 @@ def run_federation(fed: Federation, client_cfg: ClientConfig, *, rounds: int,
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
     task = fed.config.task
-    if client_cfg.task != task:
-        client_cfg = replace(client_cfg, task=task)
+    cfg = replace(client_cfg, task=task)
 
-    if mode == "fedlsm":
-        datasets = fed.clients
-        cfg = replace(client_cfg, use_pseudo=True)
-        default_proxy = "awpa"
-    elif mode == "fedavg_masked":
-        datasets = fed.clients
-        cfg = replace(client_cfg, use_pseudo=False)
-        default_proxy = "fedavg"
-    else:
+    use_pseudo = mode == "fedlsm"
+    if mode == "fedavg_full":
         datasets = [unmask_labels(c.x, t)
                     for c, t in zip(fed.clients, fed.truth)]
-        cfg = replace(client_cfg, use_pseudo=False)
-        default_proxy = "fedavg"
-    proxy = proxy_mode or default_proxy
+    else:
+        datasets = fed.clients
+    proxy = proxy_mode or ("awpa" if use_pseudo else "fedavg")
 
     dims = [fed.config.feature_dim, *hidden_dims]
     params = nn.init_params(dims, fed.config.n_classes, seed=seed)
     reports = []
     for r in range(rounds):
         params, updates = run_round(params, fed, datasets, cfg, r, seed,
-                                    proxy)
+                                    proxy, use_pseudo)
         ev = evaluate(params, fed.test, task)
         lr_t = cfg.lr / (1.0 + cfg.lr_decay * r)
         report = RoundReport(round=r, metrics=ev, lr=lr_t,

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fedlsm
 from fedlsm import nn
@@ -128,6 +130,67 @@ def test_compare_rejects_non_run_dir(tmp_path):
     (tmp_path / "stuff").mkdir()
     assert run_cli("compare", str(tmp_path / "stuff"),
                    str(tmp_path / "stuff")) == 1
+
+
+@pytest.fixture()
+def finished_run(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--quiet") == 0
+    return out
+
+
+def compare_error(run_dir, capsys):
+    capsys.readouterr()
+    assert run_cli("compare", str(run_dir), str(run_dir), "--output-dir",
+                   str(run_dir / "cmp")) == 1
+    return capsys.readouterr().err
+
+
+def test_compare_rejects_truncated_run_json(finished_run, capsys):
+    run_json = finished_run / "run.json"
+    run_json.write_bytes(run_json.read_bytes()[:40])
+    assert f"error: {run_json}:1: invalid JSON" in compare_error(
+        finished_run, capsys)
+
+
+def test_compare_rejects_run_json_without_seeds(finished_run, capsys):
+    run_json = finished_run / "run.json"
+    record = json.loads(run_json.read_text())
+    del record["config"]["seeds"]
+    run_json.write_text(json.dumps(record))
+    assert f"error: {run_json}: missing config.seeds" in compare_error(
+        finished_run, capsys)
+
+
+def test_compare_rejects_non_json_report_line(finished_run, capsys):
+    seed_file = finished_run / "seed0.jsonl"
+    lines = seed_file.read_text().splitlines()
+    lines[2] = lines[2][:-5]
+    seed_file.write_text("\n".join(lines) + "\n")
+    assert f"error: {seed_file}:3: invalid JSON" in compare_error(
+        finished_run, capsys)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["config", "seeds", "mode",
+                                       "data_fingerprint"]), inner),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.binary(max_size=200)
+       | json_values.map(lambda v: json.dumps(v).encode()))
+def test_compare_fuzz_run_json_loads_or_exits_one(finished_run, capsys, blob):
+    # Any run.json either loads or is refused with exit 1; main() raising
+    # would fail the test with the traceback.
+    (finished_run / "run.json").write_bytes(blob)
+    assert run_cli("compare", str(finished_run), str(finished_run),
+                   "--output-dir", str(finished_run / "cmp")) in (0, 1)
 
 
 def test_gen_data_verb_is_gone(tiny_config, tmp_path):

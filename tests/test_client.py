@@ -53,6 +53,12 @@ def stacked(records):
             np.stack([known for _, known in records]))
 
 
+def pseudo_hits(kept, klass, m):
+    """(n, m) one-hot rows of the kept single-label pseudo labels."""
+    return np.asarray(kept)[:, None] & (np.asarray(klass)[:, None]
+                                         == np.arange(m))
+
+
 def client_arrays(samples):
     """(x, values, known) arrays of a list of (x, label) rows."""
     return (np.stack([x for x, _ in samples]),
@@ -127,22 +133,22 @@ def test_loss_identified_multi_oracle_and_weights():
 
 def test_loss_unknown_single_oracle_and_denominator():
     logits = np.zeros((2, 2))
-    dec = PseudoLabelDecision(kept=np.array([True, False]),
-                              klass=np.array([1, 0]))
-    loss, dlogits = loss_unknown(logits, dec, "single")
+    hits = pseudo_hits([True, False], [1, 0], 2)
+    loss, dlogits = loss_unknown(logits, hits, "single")
     assert loss == pytest.approx(LN2)
     assert np.allclose(dlogits, [[0.5, -0.5], [0.0, 0.0]])
 
 
 def test_loss_unknown_single_no_kept_is_zero():
-    dec = PseudoLabelDecision(kept=np.array([False]), klass=np.array([0]))
-    loss, dlogits = loss_unknown(np.zeros((1, 2)), dec, "single")
+    hits = pseudo_hits([False], [0], 2)
+    loss, dlogits = loss_unknown(np.zeros((1, 2)), hits, "single")
     assert loss == 0.0 and (dlogits == 0).all()
 
 
 def test_loss_unknown_multi_oracle():
-    dec = PseudoLabelDecision(state=np.array([[1, -1, 0]], dtype=np.int8))
-    loss, dlogits = loss_unknown(np.zeros((1, 3)), dec, "multi")
+    state = np.array([[1, -1, 0]])
+    loss, dlogits = loss_unknown(np.zeros((1, 3)), state == 1, "multi",
+                                 state == -1)
     assert loss == pytest.approx(2 * LN2)
     assert np.allclose(dlogits, [[-0.5, 0.5, 0.0]])
 
@@ -183,14 +189,13 @@ def test_pseudo_and_mix_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     params = nn.init_params([3, 5], 3, seed=2)
     batch = rng.normal(size=(2, 3))
-    dec = PseudoLabelDecision(kept=np.array([True, True]),
-                              klass=np.array([2, 0]))
+    hits = pseudo_hits([True, True], [2, 0], 3)
     assert nn.gradcheck(params, batch,
-                        lambda z: loss_unknown(z, dec, "single")) < 1e-5
-    state = np.array([[1, -1, 0], [0, 1, -1]], dtype=np.int8)
-    dec_m = PseudoLabelDecision(state=state)
+                        lambda z: loss_unknown(z, hits, "single")) < 1e-5
+    state = np.array([[1, -1, 0], [0, 1, -1]])
     assert nn.gradcheck(params, batch,
-                        lambda z: loss_unknown(z, dec_m, "multi")) < 1e-5
+                        lambda z: loss_unknown(z, state == 1, "multi",
+                                               state == -1)) < 1e-5
     targets = rng.dirichlet(np.ones(3), size=2)
     assert nn.gradcheck(params, batch,
                         lambda z: loss_ude(z, targets, "single")) < 1e-5
@@ -223,8 +228,7 @@ def _mix_setup(task, confident_high):
     part = UncertaintyPartition(low=np.array([0]), mid=np.array([]),
                                 high=np.array([1]),
                                 entropy=np.zeros(2))
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
-                      n_samples=2)
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2))
     cfg = ClientConfig(task=task, ude_batch_size=3, mixup_alpha=0.4,
                        augment=AugmentConfig(sigma_weak=1e-4))
     return samples, part, teacher, spec, cfg
@@ -356,17 +360,18 @@ def test_supervised_branch_ignores_unlabeled_samples():
     params = nn.init_params([4, 6], 3, seed=0)
     poked = replace(dataset, x=np.where(dataset.known.any(axis=1)[:, None],
                                         dataset.x, dataset.x + 1e6))
-    cfg = fast_cfg(use_pseudo=False)
-    a = local_train(params, dataset, spec, cfg, round_idx=0, seed=2)
-    b = local_train(params, poked, spec, cfg, round_idx=0, seed=2)
+    cfg = fast_cfg()
+    a = local_train(params, dataset, spec, cfg, round_idx=0, seed=2,
+                    use_pseudo=False)
+    b = local_train(params, poked, spec, cfg, round_idx=0, seed=2,
+                    use_pseudo=False)
     assert np.array_equal(a.params.proxies, b.params.proxies)
     assert a.stats["kept_pseudo"] == 0
 
 
 def test_local_train_rejects_empty_dataset():
     params = nn.init_params([4, 6], 3, seed=0)
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
-                      n_samples=0)
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2))
     with pytest.raises(ConfigError, match="empty"):
         local_train(params, ClientData(x=np.zeros((0, 4)),
                                        values=np.zeros((0, 3)),
@@ -387,8 +392,7 @@ def test_client_config_validation():
 
 def test_compute_class_weights_multi():
     m = 3
-    spec = ClientSpec(client_id=0, identified=(0, 1), unknown=(2,),
-                      n_samples=4)
+    spec = ClientSpec(client_id=0, identified=(0, 1), unknown=(2,))
     # class 0: 1 pos / 3 neg -> 3.0; class 1: 3 pos / 1 neg -> clip at 1.0
     samples = []
     for vals in ([1, 1, 0], [0, 1, 0], [0, 1, 0], [0, 0, 0]):
@@ -536,10 +540,107 @@ def test_single_label_losses_match_per_row_reference_exactly(seed):
 
     dec = PseudoLabelDecision(kept=rng.random(n) < 0.4,
                               klass=rng.integers(m, size=n))
-    got = loss_unknown(logits, dec, "single")
+    got = loss_unknown(logits, pseudo_hits(dec.kept, dec.klass, m), "single")
     want = reference_loss_unknown_single(logits, dec)
     assert got[0] == want[0]
     assert got[1].tobytes() == want[1].tobytes()
+
+
+def _reference_logs(logits):
+    return (nn.sigmoid(logits), -np.logaddexp(0.0, -logits),
+            -np.logaddexp(0.0, logits))
+
+
+def reference_loss_identified_multi(logits, values, known, class_weights):
+    mask = known.astype(np.float64)
+    count = mask.sum()
+    if count == 0:
+        return 0.0, np.zeros_like(logits)
+    w = np.ones(logits.shape[1]) if class_weights is None else class_weights
+    sig, log_sig, log_one_minus = _reference_logs(logits)
+    per_entry = -(w * values * log_sig + (1.0 - values) * log_one_minus)
+    loss = float((mask * per_entry).sum() / count)
+    dlogits = mask * (-w * values * (1.0 - sig) + (1.0 - values) * sig) / count
+    return loss, dlogits
+
+
+def reference_loss_unknown_multi(logits, state):
+    n = logits.shape[0]
+    pos = (state == 1).astype(np.float64)
+    neg = (state == -1).astype(np.float64)
+    if pos.sum() + neg.sum() == 0:
+        return 0.0, np.zeros_like(logits)
+    sig, log_sig, log_one_minus = _reference_logs(logits)
+    loss = float(-(pos * log_sig + neg * log_one_minus).sum() / n)
+    return loss, (pos * (sig - 1.0) + neg * sig) / n
+
+
+def reference_loss_ude_multi(logits, targets, valid):
+    valid = valid.astype(np.float64)
+    count = valid.sum()
+    if count == 0:
+        return 0.0, np.zeros_like(logits)
+    sig, log_sig, log_one_minus = _reference_logs(logits)
+    per_entry = -(targets * log_sig + (1.0 - targets) * log_one_minus)
+    loss = float((valid * per_entry).sum() / count)
+    return loss, valid * (sig - targets) / count
+
+
+def reference_loss_ude_single(logits, targets):
+    """Soft-label cross-entropy with the loss summed one row at a time."""
+    n = logits.shape[0]
+    log_p = nn.log_softmax(logits)
+    loss = 0.0
+    for i in range(n):
+        loss -= (targets[i] * log_p[i]).sum()
+    row_mass = targets.sum(axis=1, keepdims=True)
+    return float(loss / n), (np.exp(log_p) * row_mass - targets) / n
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_multi_label_losses_match_reference_formulas_exactly(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 64, 7
+    logits = rng.normal(size=(n, m)) * 4
+    known = rng.random((n, m)) < 0.6
+    values = np.where(known, rng.random((n, m)) < 0.3, 0.0)
+    weights = 1.0 + 4.0 * rng.random(m)
+    for w in (None, weights):
+        assert_same_bits(
+            loss_identified(logits, values, known, "multi", w),
+            reference_loss_identified_multi(logits, values, known, w))
+
+    state = rng.integers(-1, 2, size=(n, m)) * (rng.random((n, m)) < 0.5)
+    assert_same_bits(loss_unknown(logits, state == 1, "multi", state == -1),
+                     reference_loss_unknown_multi(logits, state))
+
+    targets = rng.random((8, m))
+    valid = rng.random((8, m)) < 0.7
+    assert_same_bits(loss_ude(logits[:8], targets, "multi", valid),
+                     reference_loss_ude_multi(logits[:8], targets, valid))
+    assert_same_bits(
+        loss_ude(logits[:8], targets, "multi"),
+        reference_loss_ude_multi(logits[:8], targets, np.ones((8, m), bool)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_soft_label_loss_matches_reference_exactly(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 8, 7
+    logits = rng.normal(size=(n, m)) * 4
+    lam = rng.beta(0.2, 0.2, size=(n, 1))
+    targets = lam * rng.dirichlet(np.ones(m), size=n) \
+        + (1.0 - lam) * np.eye(m)[rng.integers(m, size=n)]
+    got = loss_ude(logits, targets, "single")
+    assert_same_bits(got, reference_loss_ude_single(logits, targets))
+    # A whole-matrix sum groups the additions differently: a few ulps.
+    pairwise = float(-(targets * nn.log_softmax(logits)).sum() / n)
+    assert got[0] == pytest.approx(pairwise, rel=n * m * np.finfo(float).eps)
 
 
 def reference_setup(task, seed):
@@ -548,8 +649,7 @@ def reference_setup(task, seed):
     teacher = nn.init_params([d, 6], m, seed=seed)
     teacher.proxies[...] *= 6.0  # a mix of confident and unconfident members
     identified = (0, 2)
-    spec = ClientSpec(client_id=0, identified=identified, unknown=(1, 3, 4),
-                      n_samples=n)
+    spec = ClientSpec(client_id=0, identified=identified, unknown=(1, 3, 4))
     if task == "single":
         labels = random_single_labels(rng, n, m)
     else:

@@ -39,7 +39,8 @@ def test_unknown_keys_name_their_path():
     with pytest.raises(ConfigError, match="client.augment.sigma"):
         config_from_dict({"version": 1,
                           "client": {"augment": {"sigma": 0.1}}})
-    for removed in ("pseudo_loss_norm", "class_weights"):
+    for removed in ("pseudo_loss_norm", "class_weights", "use_pseudo",
+                    "adam_beta1", "adam_beta2", "adam_eps"):
         with pytest.raises(ConfigError, match=f"client.{removed}: unknown"):
             config_from_dict({"version": 1, "client": {removed: None}})
 

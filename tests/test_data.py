@@ -75,8 +75,7 @@ def test_multi_label_masking_rules():
 
 
 def test_mask_oracle_case():
-    spec = ClientSpec(client_id=0, identified=(0, 2), unknown=(1, 3),
-                      n_samples=1)
+    spec = ClientSpec(client_id=0, identified=(0, 2), unknown=(1, 3))
     truth = np.array([1.0, 1.0, 0.0, 1.0])
     out = mask_labels(np.zeros((1, 2)), truth[None], spec, "multi")
     assert np.array_equal(out.values[0], [1.0, 0.0, 0.0, 0.0])
@@ -84,7 +83,7 @@ def test_mask_oracle_case():
 
 
 def test_mask_labels_does_not_mutate_input():
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1,), n_samples=1)
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1,))
     truth = np.array([[0.0, 1.0]])
     original = truth.copy()
     masked = mask_labels(np.zeros((1, 2)), truth, spec, "multi")

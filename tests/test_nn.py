@@ -115,7 +115,7 @@ def test_adam_single_step_oracle():
                                    proxy_bias=np.zeros(2))
     g = nn.zeros_like_params(p)
     g.layers[0][0][...] = np.array([[1.0]])
-    state = nn.AdamState.init(p, beta1=0.9, beta2=0.99)
+    state = nn.AdamState.init(p)
     p2, state2 = nn.adam_step(p, g, state, lr=0.1)
     assert p2.layers[0][0][0, 0] == pytest.approx(0.9, abs=1e-6)
     assert state2.step == 1
