@@ -181,6 +181,8 @@ def cmd_compare(args) -> int:
             "runs are not comparable: they trained on different data "
             f"({rec_a['data_fingerprint'][:12]} vs "
             f"{rec_b['data_fingerprint'][:12]})")
+    if list(curves_a) != list(curves_b):
+        raise ConfigError("runs are not comparable: their seed lists differ")
     label_a = rec_a["config"]["mode"]
     label_b = rec_b["config"]["mode"]
     if label_a == label_b:
@@ -192,15 +194,21 @@ def cmd_compare(args) -> int:
         outdir = _out_root() / f"compare-{label_a}-vs-{label_b}"
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = ["metric,mean_a,std_a,mean_b,std_b,delta"]
+    # Per-seed deltas b - a, paired over the shared seed list.
+    rows = ["metric,mean_a,std_a,mean_b,std_b,delta,se,wins"]
     deltas = {}
     for metric in SUMMARY_METRICS:
-        va = np.array([c[-1][metric] for c in curves_a.values()])
-        vb = np.array([c[-1][metric] for c in curves_b.values()])
-        delta = float(vb.mean() - va.mean())
-        deltas[metric] = (float(va.mean()), float(vb.mean()), delta)
+        va = np.array([curves_a[s][-1][metric] for s in curves_a])
+        vb = np.array([curves_b[s][-1][metric] for s in curves_a])
+        d = vb - va
+        delta = float(d.mean())
+        se = float(d.std(ddof=1) / np.sqrt(d.size)) if d.size > 1 else None
+        wins = int(np.count_nonzero(d > 0))  # a tie is no one's win
+        deltas[metric] = (float(va.mean()), float(vb.mean()), delta, se,
+                          wins)
         rows.append(f"{metric},{float(va.mean())!r},{float(va.std())!r},"
-                    f"{float(vb.mean())!r},{float(vb.std())!r},{delta!r}")
+                    f"{float(vb.mean())!r},{float(vb.std())!r},{delta!r},"
+                    f"{'' if se is None else repr(se)},{wins}")
     (outdir / "compare.csv").write_text("\n".join(rows) + "\n",
                                         encoding="utf-8")
 
@@ -220,9 +228,13 @@ def cmd_compare(args) -> int:
     (outdir / "curves.csv").write_text("\n".join(curve_rows) + "\n",
                                        encoding="utf-8")
 
-    print(f"{'metric':<16} {label_a:>12} {label_b:>12} {'delta':>9}")
-    for metric, (ma, mb, delta) in deltas.items():
-        print(f"{metric:<16} {ma:>12.4f} {mb:>12.4f} {delta:>+9.4f}")
+    n = len(curves_a)
+    print(f"{'metric':<16} {label_a:>12} {label_b:>12} {'delta':>9} "
+          f"{'se':>8} {'wins':>7}")
+    for metric, (ma, mb, delta, se, wins) in deltas.items():
+        se = "-" if se is None else f"{se:.4f}"
+        print(f"{metric:<16} {ma:>12.4f} {mb:>12.4f} {delta:>+9.4f} "
+              f"{se:>8} {f'{wins}/{n}':>7}")
     print(f"wrote {outdir}")
     return 0
 

@@ -94,6 +94,17 @@ class PseudoLabelDecision:
     klass: np.ndarray | None = None
     state: np.ndarray | None = None
 
+    def masks(self, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positive, negative) (n, m) masks of the verdicts on rows with
+        trust mask `known`.  A kept single-label verdict counts only on a
+        row with no known label: positive on klass, negative elsewhere.
+        Multi-label verdicts pass through."""
+        if self.state is not None:
+            return self.state == 1, self.state == -1
+        kept = self.kept & ~known.any(axis=1)
+        pos = kept[:, None] & np.eye(known.shape[1], dtype=bool)[self.klass]
+        return pos, kept[:, None] & ~pos
+
 
 @dataclass
 class ClientUpdate:
@@ -112,10 +123,26 @@ def _draw_with_replacement(pool: np.ndarray, k: int,
     return pool[rng.integers(0, len(pool), size=k)]
 
 
-def _class_mask(m: int, classes) -> np.ndarray:
-    mask = np.zeros(m, dtype=bool)
-    mask[list(classes)] = True
-    return mask
+def _decide(logits: np.ndarray, unknown, task: str, hi: float,
+            lo: float | None) -> PseudoLabelDecision:
+    """The confident-verdict rule on teacher logits.
+
+    Single-label: keep a row whose max softmax probability is at least hi
+    and whose argmax class is locally unknown.  Multi-label: per unknown
+    class, +1 where the sigmoid is at least hi, -1 where at most lo.
+    """
+    cols = np.zeros(logits.shape[1], dtype=bool)
+    cols[list(unknown)] = True
+    if task == "single":
+        probs = nn.softmax(logits)
+        klass = probs.argmax(axis=1)
+        kept = (probs.max(axis=1) >= hi) & cols[klass]
+        return PseudoLabelDecision(kept=kept, klass=klass)
+    probs = nn.sigmoid(logits)
+    state = np.zeros(probs.shape, dtype=np.int8)
+    state[cols & (probs >= hi)] = 1
+    state[cols & (probs <= lo)] = -1
+    return PseudoLabelDecision(state=state)
 
 
 def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
@@ -125,11 +152,8 @@ def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
     Accepts one vector or a (batch, d) matrix.
     """
     x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
-    probs = nn.softmax(nn.forward(teacher, x).logits)
-    klass = probs.argmax(axis=1)
-    in_unknown = _class_mask(probs.shape[1], unknown)[klass]
-    kept = (probs.max(axis=1) >= threshold) & in_unknown
-    return PseudoLabelDecision(kept=kept, klass=klass)
+    return _decide(nn.forward(teacher, x).logits, unknown, "single",
+                   threshold, None)
 
 
 def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
@@ -138,12 +162,8 @@ def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
     if not tau_n < tau_p:
         raise ConfigError(f"need tau_n < tau_p, got {tau_n} >= {tau_p}")
     x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
-    probs = nn.sigmoid(nn.forward(teacher, x).logits)
-    cols = _class_mask(probs.shape[1], unknown)
-    state = np.zeros(probs.shape, dtype=np.int8)
-    state[cols & (probs >= tau_p)] = 1
-    state[cols & (probs <= tau_n)] = -1
-    return PseudoLabelDecision(state=state)
+    return _decide(nn.forward(teacher, x).logits, unknown, "multi", tau_p,
+                   tau_n)
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int):
@@ -235,32 +255,6 @@ def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
     return x, y
 
 
-def _ude_member_labels(probs: np.ndarray, values: np.ndarray,
-                       known: np.ndarray, unknown, cfg: ClientConfig):
-    """Label vectors and usability masks for prospective MixUp members.
-
-    probs holds the teacher's outputs on the members' weak views.
-    Single-label members use their known one-hot label when they have one,
-    otherwise a relaxed-threshold teacher pseudo label; a member with
-    neither is unusable.  Multi-label members get known values on known
-    classes and relaxed pseudo verdicts on unknown ones; classes where the
-    teacher abstains are unusable for that member.
-    """
-    if cfg.task == "single":
-        labeled = known.any(axis=1)
-        pseudo = np.flatnonzero(~labeled & (probs.max(axis=1) >= cfg.tau_l))
-        labels = np.where(labeled[:, None], values, 0.0)
-        labels[pseudo, probs[pseudo].argmax(axis=1)] = 1.0
-        usable = labeled.copy()
-        usable[pseudo] = True
-        return labels, usable
-    cols = _class_mask(probs.shape[1], unknown)
-    pos = cols & (probs >= cfg.tau_lp)
-    neg = cols & (probs <= cfg.tau_ln)
-    labels = np.where(pos, 1.0, np.where(known, values, 0.0))
-    return labels, known | pos | neg
-
-
 def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
               part: UncertaintyPartition, teacher: nn.ModelParams,
               spec: ClientSpec, cfg: ClientConfig, rng: np.random.Generator):
@@ -268,17 +262,20 @@ def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
 
     x, values and known hold the client's samples row by row; `part`
     indexes the rows.  Confident and uncertain members alike take their
-    known labels first and relaxed-threshold teacher verdicts elsewhere
-    (_ude_member_labels).  Single-label pairs need both members usable;
-    multi-label pairs are valid where both members are and need one such
-    class.  Other pairs are redrawn for a bounded number of rounds, so
-    fewer pairs may come back.  Returns (inputs, soft labels, valid-entry
-    mask or None).
+    known labels first and, elsewhere, the pseudo-label rule's verdicts at
+    the relaxed thresholds, so a pseudo label only names an unknown class.
+    A pair is valid on the classes where both members are usable and is
+    kept when it has one such class.  Other pairs are redrawn for a
+    bounded number of rounds, so fewer pairs may come back.  Returns
+    (inputs, soft labels, valid-entry mask).
     """
     m = teacher.num_classes
-    empty = (np.zeros((0, x.shape[1])), np.zeros((0, m)), None)
+    empty = (np.zeros((0, x.shape[1])), np.zeros((0, m)),
+             np.zeros((0, m), dtype=bool))
     if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
         return empty
+    hi, lo = (cfg.tau_l, None) if cfg.task == "single" \
+        else (cfg.tau_lp, cfg.tau_ln)
     xs_mix, ys_mix, valids = [], [], []
     need = cfg.ude_batch_size
     for _ in range(UDE_RETRY_ROUNDS):
@@ -291,14 +288,13 @@ def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
         # the low members followed by one for the high members.
         logits = nn.forward(teacher, augment_weak_batch(
             x[members], rng, cfg.augment)).logits
-        probs = nn.softmax(logits) if cfg.task == "single" \
-            else nn.sigmoid(logits)
-        y, ok = _ude_member_labels(probs, values[members], known[members],
-                                   spec.unknown, cfg)
+        pos, neg = _decide(logits, spec.unknown, cfg.task, hi,
+                           lo).masks(known[members])
+        y = np.where(pos, 1.0, values[members])
+        ok = known[members] | pos | neg
         lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
         pair_ok = ok[:need] & ok[need:]
-        keep = np.flatnonzero(pair_ok if cfg.task == "single"
-                              else pair_ok.any(axis=1))
+        keep = np.flatnonzero(pair_ok.any(axis=1))
         x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
                              y[need + keep], lams[keep, None])
         xs_mix.append(x_mix)
@@ -307,8 +303,8 @@ def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
         need -= keep.size
     if need == cfg.ude_batch_size:
         return empty
-    valid = None if cfg.task == "single" else np.concatenate(valids)
-    return np.concatenate(xs_mix), np.concatenate(ys_mix), valid
+    return (np.concatenate(xs_mix), np.concatenate(ys_mix),
+            np.concatenate(valids))
 
 
 def compute_class_weights(values: np.ndarray, known: np.ndarray, identified,
@@ -325,20 +321,6 @@ def compute_class_weights(values: np.ndarray, known: np.ndarray, identified,
     cols = list(identified)
     weights[cols] = ratio[cols]
     return weights
-
-
-def _label_counts(values: np.ndarray, known: np.ndarray, spec: ClientSpec,
-                  task: str) -> np.ndarray:
-    m = values.shape[1]
-    if task == "single":
-        labeled = known.any(axis=1)
-        counts = np.bincount(values[labeled].argmax(axis=1),
-                             minlength=m).astype(np.float64)
-    else:
-        counts = np.where(known, values, 0.0).sum(axis=0)
-    # Unknown-class entries stay zero; pseudo counts are added separately.
-    counts[list(spec.unknown)] = 0.0
-    return counts
 
 
 def _track_verdicts(tracked: np.ndarray, batch_idx: np.ndarray,
@@ -375,13 +357,14 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     cfg.validate()
     m = global_params.num_classes
     x, values, known = data.x, data.values, data.known
-    unlabeled = ~known.any(axis=1)
     rng = np.random.default_rng([seed, round_idx, spec.client_id])
     lr_t = cfg.lr / (1.0 + cfg.lr_decay * round_idx)
 
     student = teacher = global_params
     adam = nn.AdamState.init(student)
-    edd = _label_counts(values, known, spec, cfg.task)
+    # values are zero where not known; unknown-class counts come at the end
+    edd = values.sum(axis=0)
+    edd[list(spec.unknown)] = 0.0
     class_weights = compute_class_weights(values, known, spec.identified) \
         if cfg.task == "multi" else None
 
@@ -393,10 +376,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             raise ConfigError(f"client {spec.client_id}: no trainable "
                               "samples (frac_h leaves nothing below high "
                               "uncertainty)")
-    elif cfg.task == "single":
-        pool = np.flatnonzero(~unlabeled)
     else:
-        pool = np.arange(len(data))
+        pool = np.flatnonzero(known.any(axis=1))
 
     epoch_iters = max(1, math.ceil(pool.size / cfg.batch_size))
     edd_window_start = max(0, cfg.local_iters - epoch_iters)
@@ -425,15 +406,12 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
             if cfg.task == "single":
                 dec = pseudo_single(teacher, x_weak, spec.unknown, cfg.tau)
-                # Labeled samples belong to the supervised loss, never the
-                # pseudo loss.
-                dec.kept &= unlabeled[batch_idx]
-                hits = dec.kept[:, None] & (dec.klass[:, None] == np.arange(m))
-                negative = None
             else:
                 dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
                                    cfg.tau_n)
-                hits, negative = dec.state == 1, dec.state == -1
+            # Labeled samples belong to the supervised loss, never the
+            # pseudo loss.
+            hits, negative = dec.masks(known[batch_idx])
 
             cache_s = nn.forward(student, x_strong)
             l_u, dl_s = loss_unknown(cache_s.logits, hits, cfg.task, negative)

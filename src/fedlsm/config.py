@@ -141,6 +141,8 @@ def load_config(path: str) -> dict:
             d = json.load(fh)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from e
     if not isinstance(d, dict):

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: verbs, files, exit codes."""
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import fedlsm
 from fedlsm import nn
-from fedlsm.cli import main
+from fedlsm.cli import SUMMARY_METRICS, main
 
 TINY = {
     "version": 1,
@@ -108,11 +110,63 @@ def test_compare_modes(tiny_config, tmp_path, capsys):
     table = capsys.readouterr().out
     assert "fedlsm" in table and "fedavg_masked" in table
     compare = (out / "compare.csv").read_text().splitlines()
-    assert compare[0] == "metric,mean_a,std_a,mean_b,std_b,delta"
+    assert compare[0] == "metric,mean_a,std_a,mean_b,std_b,delta,se,wins"
     assert len(compare) == 6
     curves = (out / "curves.csv").read_text().splitlines()
     assert curves[0].startswith("round,")
     assert len(curves) == 1 + TINY["rounds"]
+
+
+def write_run(path, mode, final_auc):
+    """A hand-written run directory: seed s ends on macro_auc final_auc[s]
+    and on 0.5 for the other summary metrics."""
+    path.mkdir()
+    record = {"config": {"mode": mode, "seeds": list(final_auc)},
+              "data_fingerprint": "f" * 64}
+    (path / "run.json").write_text(json.dumps(record))
+    for seed, auc in final_auc.items():
+        report = {**dict.fromkeys(SUMMARY_METRICS, 0.5), "macro_auc": auc}
+        (path / f"seed{seed}.jsonl").write_text(
+            json.dumps({"schema": 1}) + "\n" + json.dumps(report) + "\n")
+
+
+def compare_rows(tmp_path, auc_a, auc_b):
+    write_run(tmp_path / "a", "fedavg_masked", auc_a)
+    write_run(tmp_path / "b", "fedlsm", auc_b)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                   "--output-dir", str(out)) == 0
+    with open(out / "compare.csv", newline="") as fh:
+        return {row["metric"]: row for row in csv.DictReader(fh)}
+
+
+def test_compare_reports_paired_deltas(tmp_path, capsys):
+    # per-seed deltas 0.125, 0 (a tie), 0.25
+    rows = compare_rows(tmp_path, {0: 0.5, 1: 0.75, 2: 0.25},
+                        {0: 0.625, 1: 0.75, 2: 0.5})
+    auc = rows["macro_auc"]
+    assert float(auc["delta"]) == 0.125
+    assert float(auc["se"]) == pytest.approx(0.125 / math.sqrt(3))
+    assert auc["wins"] == "2"
+    assert rows["accuracy"]["se"] == "0.0" and rows["accuracy"]["wins"] == "0"
+    table = capsys.readouterr().out
+    assert "macro_auc" in table and "2/3" in table
+
+
+def test_compare_one_seed_leaves_se_empty(tmp_path, capsys):
+    rows = compare_rows(tmp_path, {4: 0.5}, {4: 0.75})
+    auc = rows["macro_auc"]
+    assert float(auc["delta"]) == 0.25
+    assert auc["se"] == "" and auc["wins"] == "1"
+    assert "1/1" in capsys.readouterr().out
+
+
+def test_compare_rejects_runs_whose_seeds_differ(tmp_path):
+    # the fingerprint is what run.json declares, so check the pairing too
+    write_run(tmp_path / "a", "fedlsm", {0: 0.5, 1: 0.5})
+    write_run(tmp_path / "b", "fedlsm", {0: 0.5})
+    assert run_cli("compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                   "--output-dir", str(tmp_path / "cmp")) == 1
 
 
 def test_compare_rejects_different_data(tiny_config, tmp_path):
@@ -217,6 +271,13 @@ def test_exit_code_one_for_config_problems(tmp_path):
     bad.write_text(json.dumps({"version": 1, "mode": "warp"}))
     assert run_cli("run", "--config", str(bad), "--quiet") == 1
     assert run_cli("frobnicate") == 1
+
+
+def test_run_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b'\xff\xfe{"version": 1}')
+    assert run_cli("run", "--config", str(path), "--quiet") == 1
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_gradcheck_verb(capsys):

@@ -210,11 +210,11 @@ def test_mixup_algebra():
     assert np.allclose(y, [0.3, 0.7])
 
 
-def _mix_setup(task, confident_high):
+def _mix_setup(task, confident_high, high_class=2):
     m = 3
     teacher = probe_net(m)
     if task == "single":
-        high_logits = [6.0, 0.0, 0.0] if confident_high else [0.0, 0.0, 0.0]
+        high_logits = np.eye(m)[high_class] * (6.0 if confident_high else 0.0)
     else:
         # class 0 known on the low member; teacher: positive class 1,
         # abstain class 2 on both members
@@ -238,12 +238,12 @@ def test_ude_batch_single_builds_convex_pairs():
     samples, part, teacher, spec, cfg = _mix_setup("single", True)
     xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
-    assert xs.shape[0] == 3 and valid is None
+    assert xs.shape[0] == 3 and valid.shape == (3, 3) and valid.all()
     for y in ys:
         assert y.sum() == pytest.approx(1.0)
-        # mix of one-hot class 1 (labeled low) and pseudo class 0 (high)
-        assert y[2] == 0.0
-        assert 0.0 <= y[0] <= 1.0
+        # mix of one-hot class 1 (labeled low) and pseudo class 2 (high)
+        assert y[0] == 0.0
+        assert 0.0 <= y[2] <= 1.0
 
 
 def test_ude_batch_single_rejects_unconfident_members():
@@ -251,6 +251,30 @@ def test_ude_batch_single_rejects_unconfident_members():
     xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 0
+
+
+def test_ude_batch_never_pseudo_labels_an_identified_class():
+    # the teacher is confident on the unlabeled member, but on class 0,
+    # which the client identifies: no pseudo label, so no usable pair
+    samples, part, teacher, spec, cfg = _mix_setup("single", True,
+                                                   high_class=0)
+    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+                              np.random.default_rng(0))
+    assert xs.shape[0] == 0 and valid.shape == (0, 3)
+
+
+def test_decision_masks_skip_labeled_rows_and_pass_multi_state():
+    single = PseudoLabelDecision(kept=np.array([True, True, False]),
+                                 klass=np.array([2, 1, 0]))
+    known = np.array([[False] * 3, [True] * 3, [False] * 3])
+    pos, neg = single.masks(known)
+    # row 0: kept and unlabeled; row 1: labeled; row 2: not kept
+    assert pos.tolist() == [[False, False, True], [False] * 3, [False] * 3]
+    assert neg.tolist() == [[True, True, False], [False] * 3, [False] * 3]
+    state = np.array([[1, -1, 0], [0, 1, -1]], dtype=np.int8)
+    pos, neg = PseudoLabelDecision(state=state).masks(np.ones((2, 3), bool))
+    assert np.array_equal(pos, state == 1)
+    assert np.array_equal(neg, state == -1)
 
 
 def test_ude_batch_multi_validity_mask():
@@ -458,10 +482,11 @@ def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
             if known_mask.any():
                 labels[j] = values
                 usable[j] = True
-            elif probs[j].max() >= cfg.tau_l:
+            elif probs[j].max() >= cfg.tau_l \
+                    and int(probs[j].argmax()) in spec.unknown:
                 labels[j, int(probs[j].argmax())] = 1.0
                 usable[j] = True
-        return labels, usable
+        return labels, np.repeat(usable[:, None], m, axis=1)
     probs = nn.sigmoid(nn.forward(teacher, x_weak).logits)
     valid = np.zeros((len(indices), m), dtype=bool)
     for j, i in enumerate(indices):
@@ -479,7 +504,8 @@ def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
 
 def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
     m = teacher.num_classes
-    empty = (np.zeros((0, dataset[0][0].shape[0])), np.zeros((0, m)), None)
+    empty = (np.zeros((0, dataset[0][0].shape[0])), np.zeros((0, m)),
+             np.zeros((0, m), dtype=bool))
     if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
         return empty
     xs_mix, ys_mix, valids = [], [], []
@@ -496,14 +522,9 @@ def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
         lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
         kept = 0
         for j in range(need):
-            if cfg.task == "single":
-                if not (ok_low[j] and ok_high[j]):
-                    continue
-                pair_valid = None
-            else:
-                pair_valid = ok_low[j] & ok_high[j]
-                if not pair_valid.any():
-                    continue
+            pair_valid = ok_low[j] & ok_high[j]
+            if not pair_valid.any():
+                continue
             lam = float(lams[j])
             xs_mix.append(lam * dataset[low_idx[j]][0]
                           + (1.0 - lam) * dataset[high_idx[j]][0])
@@ -513,8 +534,7 @@ def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
         need -= kept
     if not xs_mix:
         return empty
-    valid_arr = None if cfg.task == "single" else np.stack(valids)
-    return np.stack(xs_mix), np.stack(ys_mix), valid_arr
+    return np.stack(xs_mix), np.stack(ys_mix), np.stack(valids)
 
 
 def random_single_labels(rng, n, m):
@@ -679,10 +699,7 @@ def test_ude_batch_matches_per_row_reference_exactly(task, seed):
     assert got[0].shape[0] > 0
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
-    if task == "single":
-        assert got[2] is None and want[2] is None
-    else:
-        assert got[2].tobytes() == want[2].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
     # the same number of random draws was consumed
     assert rng_a.random() == rng_b.random()
 

@@ -4,6 +4,8 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlsm.config import (apply_overrides, config_from_dict, data_fingerprint,
                            load_config)
@@ -124,6 +126,31 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1,2]")
     with pytest.raises(ConfigError, match="object"):
         load_config(str(arr))
+
+
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 100) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["version", "mode", "rounds", "seeds",
+                                       "federation", "client", "task",
+                                       "augment", "tau", "n_classes"]),
+                      inner),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=200)
+       | config_values.map(lambda v: json.dumps(v).encode()))
+def test_fuzz_config_bytes_load_or_raise_config_errors(tmp_path_factory, blob):
+    # Loading only: any bytes build a config or raise one of the two
+    # errors the CLI turns into exit 1.
+    path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+    path.write_bytes(blob)
+    try:
+        config_from_dict(load_config(str(path)))
+    except (ConfigError, ParseError):
+        pass
 
 
 def test_load_config_roundtrip(tmp_path):
