@@ -27,7 +27,7 @@ from .data import (AugmentConfig, ClientData, ClientSpec,
 from .errors import ConfigError, NumericError
 from .uncertainty import UncertaintyPartition, partition
 
-UDE_RETRY_ROUNDS = 4
+UDE_CANDIDATES_PER_PAIR = 4
 
 
 @dataclass
@@ -63,14 +63,19 @@ class ClientConfig:
             raise ConfigError(f"{path}: need tau_l < tau")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"{path}: need tau in (0, 1)")
-        if self.ude_batch_size > self.batch_size:
-            raise ConfigError(f"{path}: need ude_batch_size <= batch_size")
+        if not 0 <= self.ude_batch_size <= self.batch_size:
+            raise ConfigError(
+                f"{path}: need 0 <= ude_batch_size <= batch_size")
+        if self.mixup_alpha <= 0:
+            raise ConfigError(f"{path}: mixup_alpha must be positive")
         if self.ude_weight < 0:
             raise ConfigError(f"{path}: ude_weight must be >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError(f"{path}: ema_decay must be in [0, 1]")
         if self.lr <= 0:
             raise ConfigError(f"{path}: lr must be positive")
+        if self.lr_decay < 0:
+            raise ConfigError(f"{path}: lr_decay must be >= 0")
         if self.local_iters < 0 or self.batch_size < 1:
             raise ConfigError(f"{path}: bad local_iters/batch_size")
         if self.frac_l < 0 or self.frac_h < 0 or self.frac_l + self.frac_h > 1:
@@ -255,56 +260,55 @@ def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
     return x, y
 
 
+def ude_candidates(known: np.ndarray, cfg: ClientConfig) -> int:
+    """MixUp candidate pairs per batch: ude_batch_size when some class is
+    known on every row (then every pair is usable), else
+    UDE_CANDIDATES_PER_PAIR times as many."""
+    per_pair = 1 if known.all(axis=0).any() else UDE_CANDIDATES_PER_PAIR
+    return per_pair * cfg.ude_batch_size
+
+
 def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
               part: UncertaintyPartition, teacher: nn.ModelParams,
-              spec: ClientSpec, cfg: ClientConfig, rng: np.random.Generator):
+              spec: ClientSpec, cfg: ClientConfig, rng: np.random.Generator,
+              candidates: int | None = None):
     """Sample up to ude_batch_size MixUp pairs of (confident, uncertain).
 
     x, values and known hold the client's samples row by row; `part`
-    indexes the rows.  Confident and uncertain members alike take their
-    known labels first and, elsewhere, the pseudo-label rule's verdicts at
-    the relaxed thresholds, so a pseudo label only names an unknown class.
-    A pair is valid on the classes where both members are usable and is
-    kept when it has one such class.  Other pairs are redrawn for a
-    bounded number of rounds, so fewer pairs may come back.  Returns
-    (inputs, soft labels, valid-entry mask).
+    indexes the rows.  `candidates` pairs (default ude_candidates(known,
+    cfg)) are drawn at once, and one teacher pass labels all their
+    members' weak views.  Confident and uncertain members alike take
+    their known labels first and, elsewhere, the pseudo-label rule's
+    verdicts at the relaxed thresholds, so a pseudo label only names an
+    unknown class.  A pair is valid on the classes where both members are
+    usable and is usable when it has one such class.  The first
+    ude_batch_size usable candidates come back in draw order, so fewer
+    pairs may come back.  Returns (inputs, soft labels, valid-entry mask).
     """
     m = teacher.num_classes
-    empty = (np.zeros((0, x.shape[1])), np.zeros((0, m)),
-             np.zeros((0, m), dtype=bool))
     if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
-        return empty
+        return (np.zeros((0, x.shape[1])), np.zeros((0, m)),
+                np.zeros((0, m), dtype=bool))
+    n = ude_candidates(known, cfg) if candidates is None else candidates
     hi, lo = (cfg.tau_l, None) if cfg.task == "single" \
         else (cfg.tau_lp, cfg.tau_ln)
-    xs_mix, ys_mix, valids = [], [], []
-    need = cfg.ude_batch_size
-    for _ in range(UDE_RETRY_ROUNDS):
-        if need == 0:
-            break
-        low_idx = _draw_with_replacement(part.low, need, rng)
-        high_idx = _draw_with_replacement(part.high, need, rng)
-        members = np.concatenate([low_idx, high_idx])
-        # One draw of 2*need weak views is the same stream as a draw for
-        # the low members followed by one for the high members.
-        logits = nn.forward(teacher, augment_weak_batch(
-            x[members], rng, cfg.augment)).logits
-        pos, neg = _decide(logits, spec.unknown, cfg.task, hi,
-                           lo).masks(known[members])
-        y = np.where(pos, 1.0, values[members])
-        ok = known[members] | pos | neg
-        lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
-        pair_ok = ok[:need] & ok[need:]
-        keep = np.flatnonzero(pair_ok.any(axis=1))
-        x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
-                             y[need + keep], lams[keep, None])
-        xs_mix.append(x_mix)
-        ys_mix.append(y_mix)
-        valids.append(pair_ok[keep])
-        need -= keep.size
-    if need == cfg.ude_batch_size:
-        return empty
-    return (np.concatenate(xs_mix), np.concatenate(ys_mix),
-            np.concatenate(valids))
+    low_idx = _draw_with_replacement(part.low, n, rng)
+    high_idx = _draw_with_replacement(part.high, n, rng)
+    members = np.concatenate([low_idx, high_idx])
+    # One draw of 2n weak views is the same stream as a draw for the low
+    # members followed by one for the high members.
+    logits = nn.forward(teacher, augment_weak_batch(
+        x[members], rng, cfg.augment)).logits
+    pos, neg = _decide(logits, spec.unknown, cfg.task, hi,
+                       lo).masks(known[members])
+    y = np.where(pos, 1.0, values[members])
+    ok = known[members] | pos | neg
+    lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
+    pair_ok = ok[:n] & ok[n:]
+    keep = np.flatnonzero(pair_ok.any(axis=1))[:cfg.ude_batch_size]
+    x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
+                         y[n + keep], lams[keep, None])
+    return x_mix, y_mix, pair_ok[keep]
 
 
 def compute_class_weights(values: np.ndarray, known: np.ndarray, identified,
@@ -376,6 +380,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             raise ConfigError(f"client {spec.client_id}: no trainable "
                               "samples (frac_h leaves nothing below high "
                               "uncertainty)")
+        candidates = ude_candidates(known, cfg)
     else:
         pool = np.flatnonzero(known.any(axis=1))
 
@@ -419,7 +424,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
 
             if cfg.ude_weight > 0:
                 x_mix, y_mix, valid = ude_batch(x, values, known, part,
-                                                teacher, spec, cfg, rng)
+                                                teacher, spec, cfg, rng,
+                                                candidates)
                 if x_mix.shape[0] > 0:
                     cache_u = nn.forward(student, x_mix)
                     l_ude, dl_u = loss_ude(cache_u.logits, y_mix, cfg.task,

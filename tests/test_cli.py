@@ -273,6 +273,18 @@ def test_exit_code_one_for_config_problems(tmp_path):
     assert run_cli("frobnicate") == 1
 
 
+@pytest.mark.parametrize("setting", ["client.mixup_alpha=0",
+                                     "client.ude_batch_size=-1",
+                                     "client.lr_decay=-0.5"])
+def test_run_rejects_bad_mixup_and_schedule_settings(tiny_config, tmp_path,
+                                                     capsys, setting):
+    field = setting.split("=")[0].split(".")[1]
+    assert run_cli("run", "--config", tiny_config, "--output-dir",
+                   str(tmp_path / "out"), "--set", setting, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: client: ") and field in err
+
+
 def test_run_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_bytes(b'\xff\xfe{"version": 1}')

@@ -8,12 +8,14 @@ import pytest
 from dataclasses import replace
 
 from fedlsm import nn
-from fedlsm.client import (ClientConfig, PseudoLabelDecision,
-                           _draw_with_replacement, _track_verdicts, compute_class_weights, local_train,
+from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
+                           PseudoLabelDecision, _decide,
+                           _draw_with_replacement, _track_verdicts,
+                           compute_class_weights, local_train,
                            loss_identified, loss_ude, loss_unknown, mixup,
                            pseudo_multi, pseudo_single, ude_batch)
 from fedlsm.data import (AugmentConfig, ClientData, ClientSpec,
-                         FederationConfig, gen_federation)
+                         FederationConfig, augment_weak_batch, gen_federation)
 from fedlsm.errors import ConfigError
 from fedlsm.server import run_federation
 from fedlsm.uncertainty import UncertaintyPartition
@@ -297,6 +299,102 @@ def test_ude_batch_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+@pytest.mark.parametrize("setup", [
+    lambda: _mix_setup("single", True),
+    lambda: _mix_setup("single", False),  # no usable pair
+    lambda: _mix_setup("single", True, high_class=0),  # no usable pair
+    lambda: _mix_setup("multi", True),
+    lambda: reference_setup("single", 0),
+    lambda: reference_setup("multi", 1),
+])
+def test_ude_batch_makes_one_teacher_pass(monkeypatch, setup):
+    samples, part, teacher, spec, cfg = setup()
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward",
+                        lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+    ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+              np.random.default_rng(5))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(3))
+def test_ude_batch_with_an_always_known_class_draws_one_plain_pass(task,
+                                                                    seed):
+    dataset, part, teacher, spec, cfg = reference_setup(task, seed)
+    x, values, known = client_arrays(dataset)
+    if task == "single":  # every row labeled
+        values = np.eye(values.shape[1])[np.arange(len(x)) % 2 * 2]
+        known[:] = True
+    else:  # class 0 known on every row
+        known[:, 0] = True
+    rng_a = np.random.default_rng(seed)
+    got = ude_batch(x, values, known, part, teacher, spec, cfg, rng_a)
+
+    # The draws of round one of the earlier retry loop, verbatim.
+    rng = np.random.default_rng(seed)
+    need = cfg.ude_batch_size
+    hi, lo = (cfg.tau_l, None) if cfg.task == "single" \
+        else (cfg.tau_lp, cfg.tau_ln)
+    low_idx = _draw_with_replacement(part.low, need, rng)
+    high_idx = _draw_with_replacement(part.high, need, rng)
+    members = np.concatenate([low_idx, high_idx])
+    logits = nn.forward(teacher, augment_weak_batch(
+        x[members], rng, cfg.augment)).logits
+    pos, neg = _decide(logits, spec.unknown, cfg.task, hi,
+                       lo).masks(known[members])
+    y = np.where(pos, 1.0, values[members])
+    ok = known[members] | pos | neg
+    lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
+    pair_ok = ok[:need] & ok[need:]
+    keep = np.flatnonzero(pair_ok.any(axis=1))
+    x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
+                         y[need + keep], lams[keep, None])
+
+    assert keep.size == need
+    assert got[0].tobytes() == x_mix.tobytes()
+    assert got[1].tobytes() == y_mix.tobytes()
+    assert got[2].tobytes() == pair_ok[keep].tobytes()
+    assert rng_a.bit_generator.state == rng.bit_generator.state
+
+
+def test_ude_batch_returns_first_usable_candidates_in_draw_order():
+    # Low rows are labeled; of the unlabeled high rows only row 4 is
+    # confidently pseudo-labeled, so a pair is usable iff it draws row 4.
+    m, n_high = 3, 6
+    high_logits = [[0.0, 0.0, 6.0]] + [[0.0, 0.0, 0.0]] * (n_high - 1)
+    samples = [(inputs_for_logits([6.0, 0.0, 0.0]), unit_label(m, 0))] * 4
+    samples += [(inputs_for_logits(lg), unlabeled(m)) for lg in high_logits]
+    part = UncertaintyPartition(low=np.arange(4), mid=np.array([]),
+                                high=np.arange(4, 4 + n_high),
+                                entropy=np.zeros(len(samples)))
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2))
+    cfg = ClientConfig(task="single", ude_batch_size=3, mixup_alpha=0.4,
+                       augment=AugmentConfig(sigma_weak=1e-4))
+    x = client_arrays(samples)[0]
+    n = UDE_CANDIDATES_PER_PAIR * cfg.ude_batch_size
+    sizes = set()
+    for seed in range(12):
+        xs, ys, valid = ude_batch(*client_arrays(samples), part,
+                                  probe_net(m), spec, cfg,
+                                  np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        low_idx = _draw_with_replacement(part.low, n, rng)
+        high_idx = _draw_with_replacement(part.high, n, rng)
+        rng.standard_normal((2 * n, x.shape[1]))  # the weak views
+        lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)[:, None]
+        first = np.flatnonzero(high_idx == 4)[:cfg.ude_batch_size]
+        want = lams[first] * x[low_idx[first]] \
+            + (1.0 - lams[first]) * x[high_idx[first]]
+        assert xs.shape[0] <= cfg.ude_batch_size
+        assert xs.tobytes() == want.tobytes()
+        assert valid.shape == (len(first), m) and valid.all()
+        sizes.add(len(first))
+    # both full and short batches occurred
+    assert cfg.ude_batch_size in sizes and min(sizes) < cfg.ude_batch_size
+
+
 # ------------------------------------------------------------- local rounds
 
 def small_federation(task="single", seed=3):
@@ -414,6 +512,15 @@ def test_client_config_validation():
         ClientConfig(frac_l=0.8, frac_h=0.3).validate()
 
 
+@pytest.mark.parametrize("field,value", [("mixup_alpha", 0.0),
+                                         ("mixup_alpha", -0.2),
+                                         ("ude_batch_size", -1),
+                                         ("lr_decay", -0.5)])
+def test_client_config_rejects_bad_mixup_and_schedule(field, value):
+    with pytest.raises(ConfigError, match=f"^client: .*{field}"):
+        ClientConfig(**{field: value}).validate()
+
+
 def test_compute_class_weights_multi():
     m = 3
     spec = ClientSpec(client_id=0, identified=(0, 1), unknown=(2,))
@@ -508,30 +615,30 @@ def reference_ude_batch(dataset, part, teacher, spec, cfg, rng):
              np.zeros((0, m), dtype=bool))
     if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
         return empty
+    # one pass over n candidate pairs; oversample 4x unless some class is
+    # known on every row, which makes every pair usable
+    always_known = any(all(known[c] for _, (_, known) in dataset)
+                       for c in range(m))
+    n = cfg.ude_batch_size * (1 if always_known else 4)
+    low_idx = rng.choice(part.low, size=n, replace=True)
+    high_idx = rng.choice(part.high, size=n, replace=True)
+    y_low, ok_low = reference_member_labels(dataset, low_idx, teacher,
+                                            spec, cfg, rng)
+    y_high, ok_high = reference_member_labels(dataset, high_idx, teacher,
+                                              spec, cfg, rng)
+    lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
     xs_mix, ys_mix, valids = [], [], []
-    need = cfg.ude_batch_size
-    for _ in range(4):
-        if need == 0:
+    for j in range(n):
+        if len(xs_mix) == cfg.ude_batch_size:
             break
-        low_idx = rng.choice(part.low, size=need, replace=True)
-        high_idx = rng.choice(part.high, size=need, replace=True)
-        y_low, ok_low = reference_member_labels(dataset, low_idx, teacher,
-                                                spec, cfg, rng)
-        y_high, ok_high = reference_member_labels(dataset, high_idx, teacher,
-                                                  spec, cfg, rng)
-        lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
-        kept = 0
-        for j in range(need):
-            pair_valid = ok_low[j] & ok_high[j]
-            if not pair_valid.any():
-                continue
-            lam = float(lams[j])
-            xs_mix.append(lam * dataset[low_idx[j]][0]
-                          + (1.0 - lam) * dataset[high_idx[j]][0])
-            ys_mix.append(lam * y_low[j] + (1.0 - lam) * y_high[j])
-            valids.append(pair_valid)
-            kept += 1
-        need -= kept
+        pair_valid = ok_low[j] & ok_high[j]
+        if not pair_valid.any():
+            continue
+        lam = float(lams[j])
+        xs_mix.append(lam * dataset[low_idx[j]][0]
+                      + (1.0 - lam) * dataset[high_idx[j]][0])
+        ys_mix.append(lam * y_low[j] + (1.0 - lam) * y_high[j])
+        valids.append(pair_valid)
     if not xs_mix:
         return empty
     return np.stack(xs_mix), np.stack(ys_mix), np.stack(valids)
