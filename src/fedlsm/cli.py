@@ -65,6 +65,10 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    # Every seed's data first, so a federation that cannot be scored is
+    # refused before anything trains or is written.
+    feds = [gen_federation(replace(cfg.federation, seed=s))
+            for s in cfg.seeds]
     if args.output_dir:
         outdir = Path(args.output_dir)
     else:
@@ -76,8 +80,7 @@ def cmd_run(args) -> int:
     (outdir / "run.json").write_text(_dumps(record) + "\n", encoding="utf-8")
 
     finals = []
-    for s in cfg.seeds:
-        fed = gen_federation(replace(cfg.federation, seed=s))
+    for s, fed in zip(cfg.seeds, feds):
         lines = [_dumps({"schema": 1, "mode": cfg.mode, "seed": s,
                          "data_fingerprint": record["data_fingerprint"]})]
 

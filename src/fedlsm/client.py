@@ -32,7 +32,6 @@ UDE_CANDIDATES_PER_PAIR = 4
 
 @dataclass
 class ClientConfig:
-    task: str = "single"
     # Confidence thresholds: tau/tau_l drive the single-label task,
     # tau_p/tau_n/tau_lp/tau_ln the multi-label task.  The *_l* variants
     # are the relaxed thresholds used when labeling MixUp members.
@@ -80,8 +79,11 @@ class ClientConfig:
             raise ConfigError(f"{path}: bad local_iters/batch_size")
         if self.frac_l < 0 or self.frac_h < 0 or self.frac_l + self.frac_h > 1:
             raise ConfigError(f"{path}: need frac_l + frac_h <= 1")
-        if self.task not in ("single", "multi"):
-            raise ConfigError(f"{path}: task must be 'single' or 'multi'")
+        self.augment.validate(f"{path}.augment")
+
+    def lr_at(self, round_idx: int) -> float:
+        """The learning rate of round round_idx: lr / (1 + lr_decay * t)."""
+        return self.lr / (1.0 + self.lr_decay * round_idx)
 
 
 @dataclass
@@ -290,7 +292,7 @@ def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
         return (np.zeros((0, x.shape[1])), np.zeros((0, m)),
                 np.zeros((0, m), dtype=bool))
     n = ude_candidates(known, cfg) if candidates is None else candidates
-    hi, lo = (cfg.tau_l, None) if cfg.task == "single" \
+    hi, lo = (cfg.tau_l, None) if spec.task == "single" \
         else (cfg.tau_lp, cfg.tau_ln)
     low_idx = _draw_with_replacement(part.low, n, rng)
     high_idx = _draw_with_replacement(part.high, n, rng)
@@ -299,7 +301,7 @@ def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
     # members followed by one for the high members.
     logits = nn.forward(teacher, augment_weak_batch(
         x[members], rng, cfg.augment)).logits
-    pos, neg = _decide(logits, spec.unknown, cfg.task, hi,
+    pos, neg = _decide(logits, spec.unknown, spec.task, hi,
                        lo).masks(known[members])
     y = np.where(pos, 1.0, values[members])
     ok = known[members] | pos | neg
@@ -362,7 +364,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     m = global_params.num_classes
     x, values, known = data.x, data.values, data.known
     rng = np.random.default_rng([seed, round_idx, spec.client_id])
-    lr_t = cfg.lr / (1.0 + cfg.lr_decay * round_idx)
+    lr_t = cfg.lr_at(round_idx)
 
     student = teacher = global_params
     adam = nn.AdamState.init(student)
@@ -370,10 +372,10 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     edd = values.sum(axis=0)
     edd[list(spec.unknown)] = 0.0
     class_weights = compute_class_weights(values, known, spec.identified) \
-        if cfg.task == "multi" else None
+        if spec.task == "multi" else None
 
     if use_pseudo:
-        part = partition(x, global_params, cfg.task, spec.unknown,
+        part = partition(x, global_params, spec.task, spec.unknown,
                          cfg.frac_l, cfg.frac_h)
         pool = np.sort(np.concatenate([part.low, part.mid]))
         if pool.size == 0 and cfg.local_iters > 0:
@@ -403,13 +405,13 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
         cache_w = nn.forward(student, x_weak)
         l_i, dl_w = loss_identified(cache_w.logits, values[batch_idx],
-                                    known[batch_idx], cfg.task, class_weights)
+                                    known[batch_idx], spec.task, class_weights)
         grads = nn.backward(student, cache_w, dl_w)
 
         l_u = l_ude = 0.0
         if use_pseudo:
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
-            if cfg.task == "single":
+            if spec.task == "single":
                 dec = pseudo_single(teacher, x_weak, spec.unknown, cfg.tau)
             else:
                 dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
@@ -419,7 +421,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             hits, negative = dec.masks(known[batch_idx])
 
             cache_s = nn.forward(student, x_strong)
-            l_u, dl_s = loss_unknown(cache_s.logits, hits, cfg.task, negative)
+            l_u, dl_s = loss_unknown(cache_s.logits, hits, spec.task, negative)
             grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
 
             if cfg.ude_weight > 0:
@@ -428,7 +430,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
                                                 candidates)
                 if x_mix.shape[0] > 0:
                     cache_u = nn.forward(student, x_mix)
-                    l_ude, dl_u = loss_ude(cache_u.logits, y_mix, cfg.task,
+                    l_ude, dl_u = loss_ude(cache_u.logits, y_mix, spec.task,
                                            valid)
                     grads = nn.add_params(grads,
                                           nn.backward(student, cache_u, dl_u),

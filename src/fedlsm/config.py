@@ -53,8 +53,6 @@ class ExperimentConfig:
                               "or 'fedavg'")
         self.federation.validate("federation")
         self.client.validate("client")
-        if self.client.task != self.federation.task:
-            raise ConfigError("client.task must match federation.task")
 
 
 _SCALAR = {int: "an integer", float: "a number", str: "a string",
@@ -126,10 +124,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                                  "federation"),
         client=_build_simple(ClientConfig, d.get("client", {}), "client"),
     )
-    # The client's task always follows the data; saying it twice is fine,
-    # contradicting it is not (validate catches that).
-    if "client" not in d or "task" not in d["client"]:
-        cfg.client.task = cfg.federation.task
     cfg.validate()
     return cfg
 

@@ -56,6 +56,12 @@ class ClientSpec:
     client_id: int
     identified: tuple[int, ...]
     unknown: tuple[int, ...]
+    task: str  # the federation's task, "single" or "multi"
+
+    def __post_init__(self):
+        if self.task not in ("single", "multi"):
+            raise ConfigError(f"client {self.client_id}: task must be "
+                              f"'single' or 'multi', got {self.task!r}")
 
 
 @dataclass
@@ -71,6 +77,13 @@ class AugmentConfig:
     sigma_strong: float = 0.2
     scale_jitter: float = 0.1
     drop_prob: float = 0.05
+
+    def validate(self, path: str = "client.augment") -> None:
+        for name in ("sigma_weak", "sigma_strong", "scale_jitter"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{path}: {name} must be >= 0")
+        if not 0.0 <= self.drop_prob < 1.0:
+            raise ConfigError(f"{path}: need 0 <= drop_prob < 1")
 
 
 @dataclass
@@ -104,6 +117,10 @@ class FederationConfig:
             raise ConfigError(f"{path}.feature_dim: need >= 1")
         if self.samples_per_client < 1:
             raise ConfigError(f"{path}.samples_per_client: need >= 1")
+        if self.n_val < 0:
+            raise ConfigError(f"{path}.n_val: need >= 0")
+        if self.n_test < 1:
+            raise ConfigError(f"{path}.n_test: need >= 1")
         if not 0.0 < self.positive_rate < 1.0:
             raise ConfigError(f"{path}.positive_rate: need (0, 1), "
                               f"got {self.positive_rate}")
@@ -171,7 +188,8 @@ def gen_federation(cfg: FederationConfig) -> Federation:
     """Build per-client datasets, a validation set and a test set.
 
     Deterministic per cfg.seed.  Client data is already masked; val/test
-    keep full labels.
+    keep full labels.  A test set with no class that has both positives
+    and negatives cannot be scored, so it is a ConfigError.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -180,7 +198,8 @@ def gen_federation(cfg: FederationConfig) -> Federation:
     specs = []
     for k, ident in enumerate(identified_sets):
         unknown = tuple(c for c in range(cfg.n_classes) if c not in ident)
-        specs.append(ClientSpec(client_id=k, identified=ident, unknown=unknown))
+        specs.append(ClientSpec(client_id=k, identified=ident,
+                                unknown=unknown, task=cfg.task))
 
     if cfg.task == "single":
         centers = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
@@ -197,17 +216,21 @@ def gen_federation(cfg: FederationConfig) -> Federation:
             return _draw_multi_label(n, directions, threshold, cfg, rng)
 
     full = [draw(cfg.samples_per_client) for _ in specs]
-    clients = [mask_labels(f.x, f.truth, spec, cfg.task)
+    clients = [mask_labels(f.x, f.truth, spec)
                for f, spec in zip(full, specs)]
     val = draw(cfg.n_val)
     test = draw(cfg.n_test)
+    if not (test.truth.min(axis=0) < test.truth.max(axis=0)).any():
+        raise ConfigError(f"federation.n_test: {cfg.n_test} test samples "
+                          "leave no class with both positives and "
+                          "negatives, so no macro AUC can be scored")
     return Federation(specs=specs, clients=clients,
                       truth=[f.truth for f in full], val=val, test=test,
                       config=cfg)
 
 
-def mask_labels(x: np.ndarray, truth: np.ndarray, spec: ClientSpec,
-                task: str) -> ClientData:
+def mask_labels(x: np.ndarray, truth: np.ndarray,
+                spec: ClientSpec) -> ClientData:
     """Apply the client's identified-class view to full (n, m) labels.
 
     Multi-label: the mask is True exactly on identified classes, values
@@ -217,7 +240,7 @@ def mask_labels(x: np.ndarray, truth: np.ndarray, spec: ClientSpec,
     """
     identified = np.zeros(truth.shape[1], dtype=bool)
     identified[list(spec.identified)] = True
-    if task == "multi":
+    if spec.task == "multi":
         known = np.tile(identified, (len(truth), 1))
     else:
         has_label = identified[truth.argmax(axis=1)]

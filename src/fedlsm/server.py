@@ -9,7 +9,7 @@ counted fall back to sample-count weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,26 +90,20 @@ def aggregate_proxies(updates: list[ClientUpdate], mode: str = "awpa"):
 
     "awpa" weights client k's row for class c by its count for c over the
     total count for c; a class with total count zero falls back to
-    sample-count weights.  "fedavg" uses sample-count weights throughout.
+    sample-count weights.  "fedavg" is awpa with nothing counted, so it
+    uses sample-count weights throughout.
     """
     if mode not in PROXY_MODES:
         raise ConfigError(f"unknown proxy aggregation '{mode}'")
     updates = _check_updates(updates)
-    w_samples = sample_weights(updates)
-    m = updates[0].params.num_classes
     proxy_stack = np.stack([u.params.proxies for u in updates])  # (K, M, F)
     bias_stack = np.stack([u.params.proxy_bias for u in updates])  # (K, M)
-    if mode == "fedavg":
-        weights = np.tile(w_samples[:, None], (1, m))  # (K, M)
-    else:
-        q = np.stack([np.asarray(u.edd, dtype=np.float64) for u in updates])
-        totals = q.sum(axis=0)  # (M,)
-        weights = np.empty_like(q)
-        for c in range(m):
-            if totals[c] > 0:
-                weights[:, c] = q[:, c] / totals[c]
-            else:
-                weights[:, c] = w_samples
+    q = np.stack([np.asarray(u.edd, dtype=np.float64) for u in updates])
+    if mode == "fedavg":  # nothing counted: sample-count weights
+        q[...] = 0.0
+    totals = q.sum(axis=0)  # (M,)
+    weights = np.where(totals > 0, q / np.where(totals > 0, totals, 1.0),
+                       sample_weights(updates)[:, None])  # (K, M)
     proxies = np.einsum("km,kmf->mf", weights, proxy_stack)
     proxy_bias = (weights * bias_stack).sum(axis=0)
     return proxies, proxy_bias
@@ -132,18 +126,6 @@ def evaluate(params: nn.ModelParams, dataset: EvalSet,
     return macro_metrics(probs, dataset.truth, task)
 
 
-def run_round(params: nn.ModelParams, fed: Federation, datasets: list,
-              cfg: ClientConfig, round_idx: int, seed: int, proxy_mode: str,
-              use_pseudo: bool) -> tuple[nn.ModelParams, list[ClientUpdate]]:
-    """Broadcast, train every client, aggregate.  Returns the new global
-    model and the raw updates (for reporting)."""
-    updates = []
-    for spec, dataset in zip(fed.specs, datasets):
-        updates.append(local_train(params, dataset, spec, cfg, round_idx,
-                                   seed, use_pseudo))
-    return aggregate(updates, proxy_mode), updates
-
-
 def run_federation(fed: Federation, client_cfg: ClientConfig, *, rounds: int,
                    mode: str, seed: int, hidden_dims=(32, 32),
                    proxy_mode: str | None = None,
@@ -162,9 +144,6 @@ def run_federation(fed: Federation, client_cfg: ClientConfig, *, rounds: int,
         raise ConfigError(f"unknown mode '{mode}', expected one of {MODES}")
     if rounds < 1:
         raise ConfigError("rounds must be >= 1")
-    task = fed.config.task
-    cfg = replace(client_cfg, task=task)
-
     use_pseudo = mode == "fedlsm"
     if mode == "fedavg_full":
         datasets = [unmask_labels(c.x, t)
@@ -177,11 +156,12 @@ def run_federation(fed: Federation, client_cfg: ClientConfig, *, rounds: int,
     params = nn.init_params(dims, fed.config.n_classes, seed=seed)
     reports = []
     for r in range(rounds):
-        params, updates = run_round(params, fed, datasets, cfg, r, seed,
-                                    proxy, use_pseudo)
-        ev = evaluate(params, fed.test, task)
-        lr_t = cfg.lr / (1.0 + cfg.lr_decay * r)
-        report = RoundReport(round=r, metrics=ev, lr=lr_t,
+        updates = [local_train(params, dataset, spec, client_cfg, r, seed,
+                               use_pseudo)
+                   for spec, dataset in zip(fed.specs, datasets)]
+        params = aggregate(updates, proxy)
+        ev = evaluate(params, fed.test, fed.config.task)
+        report = RoundReport(round=r, metrics=ev, lr=client_cfg.lr_at(r),
                              client_stats=[dict(u.stats,
                                                 client_id=u.client_id,
                                                 n_samples=u.n_samples)

@@ -285,6 +285,34 @@ def test_run_rejects_bad_mixup_and_schedule_settings(tiny_config, tmp_path,
     assert err.startswith("error: client: ") and field in err
 
 
+@pytest.mark.parametrize("setting", ["client.augment.scale_jitter=-3",
+                                     "client.augment.drop_prob=2",
+                                     "client.augment.sigma_weak=-1"])
+def test_run_rejects_bad_augment_settings(tiny_config, tmp_path, capsys,
+                                          setting):
+    field = setting.split("=")[0].split(".")[2]
+    assert run_cli("run", "--config", tiny_config, "--output-dir",
+                   str(tmp_path / "out"), "--set", setting, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: client.augment: ") and field in err
+
+
+@pytest.mark.parametrize("settings", [["federation.n_test=1"],
+                                      ["federation.n_test=-1"],
+                                      ["federation.n_val=-1"],
+                                      # seed 0 can be scored, seed 2 not
+                                      ["seeds=[0,2]", "federation.n_test=2"]])
+def test_run_rejects_eval_sets_that_cannot_be_scored(tiny_config, tmp_path,
+                                                     capsys, settings):
+    field = settings[-1].split("=")[0]
+    out = tmp_path / "out"
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   *sets, "--quiet") == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()  # refused before anything trained or was written
+
+
 def test_run_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_bytes(b'\xff\xfe{"version": 1}')

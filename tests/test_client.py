@@ -230,8 +230,9 @@ def _mix_setup(task, confident_high, high_class=2):
     part = UncertaintyPartition(low=np.array([0]), mid=np.array([]),
                                 high=np.array([1]),
                                 entropy=np.zeros(2))
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2))
-    cfg = ClientConfig(task=task, ude_batch_size=3, mixup_alpha=0.4,
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
+                      task=task)
+    cfg = ClientConfig(ude_batch_size=3, mixup_alpha=0.4,
                        augment=AugmentConfig(sigma_weak=1e-4))
     return samples, part, teacher, spec, cfg
 
@@ -335,14 +336,14 @@ def test_ude_batch_with_an_always_known_class_draws_one_plain_pass(task,
     # The draws of round one of the earlier retry loop, verbatim.
     rng = np.random.default_rng(seed)
     need = cfg.ude_batch_size
-    hi, lo = (cfg.tau_l, None) if cfg.task == "single" \
+    hi, lo = (cfg.tau_l, None) if spec.task == "single" \
         else (cfg.tau_lp, cfg.tau_ln)
     low_idx = _draw_with_replacement(part.low, need, rng)
     high_idx = _draw_with_replacement(part.high, need, rng)
     members = np.concatenate([low_idx, high_idx])
     logits = nn.forward(teacher, augment_weak_batch(
         x[members], rng, cfg.augment)).logits
-    pos, neg = _decide(logits, spec.unknown, cfg.task, hi,
+    pos, neg = _decide(logits, spec.unknown, spec.task, hi,
                        lo).masks(known[members])
     y = np.where(pos, 1.0, values[members])
     ok = known[members] | pos | neg
@@ -369,8 +370,9 @@ def test_ude_batch_returns_first_usable_candidates_in_draw_order():
     part = UncertaintyPartition(low=np.arange(4), mid=np.array([]),
                                 high=np.arange(4, 4 + n_high),
                                 entropy=np.zeros(len(samples)))
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2))
-    cfg = ClientConfig(task="single", ude_batch_size=3, mixup_alpha=0.4,
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
+                      task="single")
+    cfg = ClientConfig(ude_batch_size=3, mixup_alpha=0.4,
                        augment=AugmentConfig(sigma_weak=1e-4))
     x = client_arrays(samples)[0]
     n = UDE_CANDIDATES_PER_PAIR * cfg.ude_batch_size
@@ -404,9 +406,8 @@ def small_federation(task="single", seed=3):
     return gen_federation(cfg)
 
 
-def fast_cfg(task="single", **kw):
-    base = dict(task=task, local_iters=4, batch_size=8, lr=3e-3,
-                ude_batch_size=2)
+def fast_cfg(**kw):
+    base = dict(local_iters=4, batch_size=8, lr=3e-3, ude_batch_size=2)
     base.update(kw)
     return ClientConfig(**base)
 
@@ -493,7 +494,8 @@ def test_supervised_branch_ignores_unlabeled_samples():
 
 def test_local_train_rejects_empty_dataset():
     params = nn.init_params([4, 6], 3, seed=0)
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2))
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
+                      task="single")
     with pytest.raises(ConfigError, match="empty"):
         local_train(params, ClientData(x=np.zeros((0, 4)),
                                        values=np.zeros((0, 3)),
@@ -523,7 +525,8 @@ def test_client_config_rejects_bad_mixup_and_schedule(field, value):
 
 def test_compute_class_weights_multi():
     m = 3
-    spec = ClientSpec(client_id=0, identified=(0, 1), unknown=(2,))
+    spec = ClientSpec(client_id=0, identified=(0, 1), unknown=(2,),
+                      task="multi")
     # class 0: 1 pos / 3 neg -> 3.0; class 1: 3 pos / 1 neg -> clip at 1.0
     samples = []
     for vals in ([1, 1, 0], [0, 1, 0], [0, 1, 0], [0, 0, 0]):
@@ -581,7 +584,7 @@ def reference_member_labels(dataset, indices, teacher, spec, cfg, rng):
     x_weak = xs + cfg.augment.sigma_weak * rng.standard_normal(xs.shape)
     m = teacher.num_classes
     labels = np.zeros((len(indices), m))
-    if cfg.task == "single":
+    if spec.task == "single":
         probs = nn.softmax(nn.forward(teacher, x_weak).logits)
         usable = np.zeros(len(indices), dtype=bool)
         for j, i in enumerate(indices):
@@ -776,7 +779,8 @@ def reference_setup(task, seed):
     teacher = nn.init_params([d, 6], m, seed=seed)
     teacher.proxies[...] *= 6.0  # a mix of confident and unconfident members
     identified = (0, 2)
-    spec = ClientSpec(client_id=0, identified=identified, unknown=(1, 3, 4))
+    spec = ClientSpec(client_id=0, identified=identified, unknown=(1, 3, 4),
+                      task=task)
     if task == "single":
         labels = random_single_labels(rng, n, m)
     else:
@@ -790,7 +794,7 @@ def reference_setup(task, seed):
     order = rng.permutation(n)
     part = UncertaintyPartition(low=order[:20], mid=order[20:32],
                                 high=order[32:], entropy=np.zeros(n))
-    cfg = ClientConfig(task=task, ude_batch_size=8, tau=0.95, tau_l=0.8,
+    cfg = ClientConfig(ude_batch_size=8, tau=0.95, tau_l=0.8,
                        tau_lp=0.9, tau_ln=0.01, mixup_alpha=0.4)
     return dataset, part, teacher, spec, cfg
 

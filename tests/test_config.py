@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedlsm.config import (apply_overrides, config_from_dict, data_fingerprint,
                            load_config)
+from fedlsm.data import gen_federation
 from fedlsm.errors import ConfigError, ParseError
 
 
@@ -41,8 +42,9 @@ def test_unknown_keys_name_their_path():
     with pytest.raises(ConfigError, match="client.augment.sigma"):
         config_from_dict({"version": 1,
                           "client": {"augment": {"sigma": 0.1}}})
+    # task: the federation's task alone decides
     for removed in ("pseudo_loss_norm", "class_weights", "use_pseudo",
-                    "adam_beta1", "adam_beta2", "adam_eps"):
+                    "adam_beta1", "adam_beta2", "adam_eps", "task"):
         with pytest.raises(ConfigError, match=f"client.{removed}: unknown"):
             config_from_dict({"version": 1, "client": {removed: None}})
 
@@ -64,8 +66,12 @@ def test_semantic_validation():
 
 
 def test_client_task_follows_federation():
-    cfg = config_from_dict({"version": 1, "federation": {"task": "multi"}})
-    assert cfg.client.task == "multi"
+    cfg = config_from_dict({"version": 1, "federation": {
+        "task": "multi", "n_clients": 2, "n_classes": 4,
+        "classes_per_client": 2, "samples_per_client": 20,
+        "n_val": 20, "n_test": 40}})
+    fed = gen_federation(cfg.federation)
+    assert [spec.task for spec in fed.specs] == ["multi", "multi"]
     with pytest.raises(ConfigError, match="task"):
         config_from_dict({"version": 1, "federation": {"task": "multi"},
                           "client": {"task": "single"}})

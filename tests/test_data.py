@@ -48,6 +48,17 @@ def test_coverage_unsatisfiable():
                                 n_classes=5))
 
 
+def test_every_spec_carries_the_federation_task():
+    for task in ("single", "multi"):
+        fed = gen_federation(tiny_cfg(task=task))
+        assert [spec.task for spec in fed.specs] == [task] * 3
+
+
+def test_client_spec_rejects_an_unknown_task():
+    with pytest.raises(ConfigError, match="client 4: task"):
+        ClientSpec(client_id=4, identified=(0,), unknown=(1,), task="triple")
+
+
 def test_single_label_masking_rules():
     fed = gen_federation(tiny_cfg())
     for spec, dataset, truth in zip(fed.specs, fed.clients, fed.truth):
@@ -75,18 +86,20 @@ def test_multi_label_masking_rules():
 
 
 def test_mask_oracle_case():
-    spec = ClientSpec(client_id=0, identified=(0, 2), unknown=(1, 3))
+    spec = ClientSpec(client_id=0, identified=(0, 2), unknown=(1, 3),
+                      task="multi")
     truth = np.array([1.0, 1.0, 0.0, 1.0])
-    out = mask_labels(np.zeros((1, 2)), truth[None], spec, "multi")
+    out = mask_labels(np.zeros((1, 2)), truth[None], spec)
     assert np.array_equal(out.values[0], [1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(out.known[0], [True, False, True, False])
 
 
 def test_mask_labels_does_not_mutate_input():
-    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1,))
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1,),
+                      task="multi")
     truth = np.array([[0.0, 1.0]])
     original = truth.copy()
-    masked = mask_labels(np.zeros((1, 2)), truth, spec, "multi")
+    masked = mask_labels(np.zeros((1, 2)), truth, spec)
     assert np.array_equal(truth, original)
     masked.values[0, 0] = 7.0
     assert truth[0, 0] == 0.0
@@ -162,3 +175,51 @@ def test_federation_config_validation():
         tiny_cfg(task="triple").validate()
     with pytest.raises(ConfigError, match="classes_per_client"):
         tiny_cfg(classes_per_client=9).validate()
+
+
+@pytest.mark.parametrize("field,value", [("n_val", -1), ("n_test", -1),
+                                         ("n_test", 0)])
+def test_federation_config_rejects_bad_eval_sizes(field, value):
+    with pytest.raises(ConfigError, match=f"^federation.{field}: need"):
+        tiny_cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("n_test,seed", [(1, 1), (2, 2), (2, 5)])
+def test_unscorable_test_set_is_a_config_error(n_test, seed):
+    # Three classes, two test rows: some seeds draw one class twice, so
+    # no static bound on n_test tells whether a macro AUC exists.
+    small = dict(n_clients=2, n_classes=3, classes_per_client=2,
+                 feature_dim=4, samples_per_client=20, n_val=10)
+    with pytest.raises(ConfigError, match="^federation.n_test: "):
+        gen_federation(tiny_cfg(n_test=n_test, seed=seed, **small))
+    fed = gen_federation(tiny_cfg(n_test=2, seed=0, **small))
+    assert len(fed.test) == 2
+
+
+def test_the_test_set_check_draws_no_random_numbers(monkeypatch):
+    # The test set is the last draw; the check after it reads labels
+    # only, so the generator ends where that draw left it.
+    states, draw = [], data._draw_single_label
+
+    def spy(n, centers, cfg, rng):
+        out = draw(n, centers, cfg, rng)
+        states.append((rng, rng.bit_generator.state))
+        return out
+
+    monkeypatch.setattr(data, "_draw_single_label", spy)
+    fed = gen_federation(tiny_cfg())
+    rng, after_test_draw = states[-1]
+    assert rng.bit_generator.state == after_test_draw
+    assert len(fed.test) == 30
+
+
+@pytest.mark.parametrize("field,value", [("sigma_weak", -1.0),
+                                         ("sigma_strong", -0.1),
+                                         ("scale_jitter", -3.0),
+                                         ("drop_prob", -0.1),
+                                         ("drop_prob", 1.0),
+                                         ("drop_prob", 2.0)])
+def test_augment_config_validation(field, value):
+    with pytest.raises(ConfigError, match=f"^client.augment: .*{field}"):
+        AugmentConfig(**{field: value}).validate()
+    AugmentConfig(**{field: 0.0}).validate()

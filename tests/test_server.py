@@ -59,6 +59,47 @@ def test_proxy_aggregation_fedavg_ignores_counts():
                        0.5 * a.params.proxies + 0.5 * b.params.proxies)
 
 
+def reference_aggregate_proxies(updates, mode):
+    """The per-class loop the one-expression weights replaced."""
+    updates = sorted(updates, key=lambda u: u.client_id)
+    counts = np.array([u.n_samples for u in updates], dtype=np.float64)
+    w_samples = counts / counts.sum()
+    m = updates[0].params.num_classes
+    proxy_stack = np.stack([u.params.proxies for u in updates])
+    bias_stack = np.stack([u.params.proxy_bias for u in updates])
+    if mode == "fedavg":
+        weights = np.tile(w_samples[:, None], (1, m))
+    else:
+        q = np.stack([np.asarray(u.edd, dtype=np.float64) for u in updates])
+        totals = q.sum(axis=0)
+        weights = np.empty_like(q)
+        for c in range(m):
+            if totals[c] > 0:
+                weights[:, c] = q[:, c] / totals[c]
+            else:
+                weights[:, c] = w_samples
+    proxies = np.einsum("km,kmf->mf", weights, proxy_stack)
+    return proxies, (weights * bias_stack).sum(axis=0)
+
+
+@pytest.mark.parametrize("mode", ["awpa", "fedavg"])
+@pytest.mark.parametrize("k", [5, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_proxy_aggregation_matches_per_class_reference_exactly(mode, k,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+    m = 7
+    edd = rng.integers(0, 40, size=(k, m)) * (rng.random((k, m)) < 0.6)
+    edd[:, rng.choice(m, size=2, replace=False)] = 0  # nobody counted
+    updates = [make_update(i, int(rng.integers(1, 500)), edd[i] * 0.5,
+                           seed=seed * 100 + i, dims=(4, 6), m=m)
+               for i in rng.permutation(k)]
+    got = aggregate_proxies(updates, mode=mode)
+    want = reference_aggregate_proxies(updates, mode)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_awpa_permutation_invariance():
     updates = [make_update(i, n, edd, seed=i)
                for i, (n, edd) in enumerate([(2, [1, 0]), (3, [2, 5]),
@@ -159,6 +200,14 @@ def test_run_federation_rejects_bad_mode_and_rounds():
     with pytest.raises(ConfigError, match="rounds"):
         run_federation(fed, quick_client_cfg(), rounds=0, mode="fedlsm",
                        seed=0)
+
+
+def test_reports_carry_the_client_lr_schedule():
+    cfg = ClientConfig(local_iters=0, lr=0.01, lr_decay=0.5)
+    res = run_federation(tiny_federation(), cfg, rounds=3,
+                         mode="fedavg_masked", seed=0, hidden_dims=(6,))
+    assert [r.lr for r in res.reports] == [0.01, 0.01 / 1.5, 0.01 / 2.0]
+    assert [r.lr for r in res.reports] == [cfg.lr_at(t) for t in range(3)]
 
 
 def test_run_federation_on_round_callback():
