@@ -264,6 +264,19 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_unloaded():
+    # fedlsm is NumPy-only: its one normal quantile is an in-package port.
+    src = str(Path(fedlsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fedlsm, fedlsm.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_exit_code_one_for_config_problems(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert run_cli("run", "--config", missing, "--quiet") == 1
@@ -309,6 +322,19 @@ def test_run_rejects_eval_sets_that_cannot_be_scored(tiny_config, tmp_path,
     sets = [arg for setting in settings for arg in ("--set", setting)]
     assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
                    *sets, "--quiet") == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()  # refused before anything trained or was written
+
+
+@pytest.mark.parametrize("setting", ["federation.cluster_std=NaN",
+                                     "federation.cluster_std=-1.0",
+                                     "federation.cluster_sep=Infinity"])
+def test_run_rejects_bad_cluster_geometry(tiny_config, tmp_path, capsys,
+                                          setting):
+    field = setting.split("=")[0]
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--set", setting, "--quiet") == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out.exists()  # refused before anything trained or was written
 

@@ -1,7 +1,12 @@
 """Synthetic federations, label masking, augmentation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import norm
 
 from fedlsm import data
@@ -149,6 +154,34 @@ def test_multi_label_threshold_is_the_normal_quantile(monkeypatch):
         assert got.values.tobytes() == want.values.tobytes()
 
 
+@settings(max_examples=500, deadline=None)
+@given(p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_ndtri_matches_scipy_bits(p):
+    # SciPy stays a test dependency only, as the reference.
+    assert data.ndtri(p).tobytes() == special.ndtri(p).tobytes()
+
+
+@pytest.mark.parametrize("edge", [math.exp(-2), 1.0 - math.exp(-2),
+                                  math.exp(-32), 0.5, 1e-300])
+def test_ndtri_matches_scipy_on_both_sides_of_each_branch(edge):
+    for p in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+        got = data.ndtri(float(p))
+        assert isinstance(got, np.float64)
+        assert got.tobytes() == special.ndtri(p).tobytes()
+
+
+def test_ndtri_is_infinite_at_the_ends():
+    assert data.ndtri(1.0) == math.inf
+    assert data.ndtri(0.0) == -math.inf
+
+
+def test_a_rate_that_rounds_to_zero_leaves_the_test_set_unscorable():
+    # 1 - 1e-17 rounds to 1.0, so the threshold is +inf and no row is
+    # positive: the test-set check refuses it, no math domain error.
+    with pytest.raises(ConfigError, match="^federation.n_test: "):
+        gen_federation(tiny_cfg(task="multi", positive_rate=1e-17))
+
+
 def test_augment_determinism_and_scale():
     x = np.linspace(-1, 1, 10).reshape(2, 5)
     cfg = AugmentConfig()
@@ -182,6 +215,21 @@ def test_federation_config_validation():
 def test_federation_config_rejects_bad_eval_sizes(field, value):
     with pytest.raises(ConfigError, match=f"^federation.{field}: need"):
         tiny_cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cluster_std", math.nan), ("cluster_std", math.inf), ("cluster_std", -1.0),
+    ("cluster_std", 0.0), ("cluster_sep", math.nan), ("cluster_sep", math.inf),
+    ("cluster_sep", -0.5)])
+def test_federation_config_rejects_bad_cluster_geometry(field, value):
+    with pytest.raises(ConfigError, match=f"^federation.{field}: need"):
+        tiny_cfg(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("std,sep", [(1.0, 0.0), (1.0, 2.5), (1.0, 4.0),
+                                     (1.0, 6.0), (0.5, 1e6)])
+def test_federation_config_accepts_finite_cluster_geometry(std, sep):
+    tiny_cfg(cluster_std=std, cluster_sep=sep).validate()
 
 
 @pytest.mark.parametrize("n_test,seed", [(1, 1), (2, 2), (2, 5)])
