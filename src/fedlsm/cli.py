@@ -295,6 +295,8 @@ def run_gradcheck(nets: int, eps: float, seed: int, report=None) -> float:
 
     Returns the worst relative error seen.
     """
+    if nets < 1:
+        raise ConfigError(f"--nets must be >= 1, got {nets}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(nets):

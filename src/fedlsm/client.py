@@ -10,14 +10,17 @@ teacher labels weakly augmented views; the student is penalized on
 strongly augmented views.  Uncertain samples that the confidence filter
 would otherwise ignore enter through MixUp pairs against confident ones.
 
-All losses return (value, dloss/dlogits) so parameter gradients come from
-a single backward() call per forward pass.
+A step makes one teacher pass, over the batch's weak views and the MixUp
+members' weak views, and one student pass over [weak; strong; MixUp]
+rows.  Every loss returns (value, dloss/dlogits) on its rows of the
+student pass, so the step's gradient comes from one backward() call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +112,8 @@ class PseudoLabelDecision:
         if self.state is not None:
             return self.state == 1, self.state == -1
         kept = self.kept & ~known.any(axis=1)
-        pos = kept[:, None] & np.eye(known.shape[1], dtype=bool)[self.klass]
+        pos = kept[:, None] & (self.klass[:, None]
+                               == np.arange(known.shape[1]))
         return pos, kept[:, None] & ~pos
 
 
@@ -130,13 +134,14 @@ def _draw_with_replacement(pool: np.ndarray, k: int,
     return pool[rng.integers(0, len(pool), size=k)]
 
 
-def _decide(logits: np.ndarray, unknown, task: str, hi: float,
-            lo: float | None) -> PseudoLabelDecision:
+def _decide(logits: np.ndarray, unknown, task: str, hi,
+            lo) -> PseudoLabelDecision:
     """The confident-verdict rule on teacher logits.
 
     Single-label: keep a row whose max softmax probability is at least hi
     and whose argmax class is locally unknown.  Multi-label: per unknown
-    class, +1 where the sigmoid is at least hi, -1 where at most lo.
+    class, +1 where the sigmoid is at least hi, -1 where at most lo.  The
+    thresholds are scalars or one value per row.
     """
     cols = np.zeros(logits.shape[1], dtype=bool)
     cols[list(unknown)] = True
@@ -146,17 +151,18 @@ def _decide(logits: np.ndarray, unknown, task: str, hi: float,
         kept = (probs.max(axis=1) >= hi) & cols[klass]
         return PseudoLabelDecision(kept=kept, klass=klass)
     probs = nn.sigmoid(logits)
-    state = np.zeros(probs.shape, dtype=np.int8)
-    state[cols & (probs >= hi)] = 1
-    state[cols & (probs <= lo)] = -1
+    # lo < hi, so a class is never both confidently positive and negative
+    state = (cols & (probs >= np.reshape(hi, (-1, 1)))).astype(np.int8)
+    state -= cols & (probs <= np.reshape(lo, (-1, 1)))
     return PseudoLabelDecision(state=state)
 
 
 def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
-                  threshold: float) -> PseudoLabelDecision:
-    """Hard pseudo labels from teacher softmax on weak views.
+                  threshold) -> PseudoLabelDecision:
+    """Hard pseudo labels from one teacher softmax pass on weak views.
 
-    Accepts one vector or a (batch, d) matrix.
+    Accepts one vector or a (batch, d) matrix; threshold is a scalar or
+    one value per row.
     """
     x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
     return _decide(nn.forward(teacher, x).logits, unknown, "single",
@@ -164,9 +170,10 @@ def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
 
 
 def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
-                 tau_p: float, tau_n: float) -> PseudoLabelDecision:
-    """Per-class positive/negative/abstain verdicts from teacher sigmoids."""
-    if not tau_n < tau_p:
+                 tau_p, tau_n) -> PseudoLabelDecision:
+    """Per-class positive/negative/abstain verdicts from one teacher
+    sigmoid pass; tau_p and tau_n are scalars or one value per row."""
+    if not np.all(np.less(tau_n, tau_p)):
         raise ConfigError(f"need tau_n < tau_p, got {tau_n} >= {tau_p}")
     x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
     return _decide(nn.forward(teacher, x).logits, unknown, "multi", tau_p,
@@ -192,18 +199,29 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int):
 
 def _masked_bce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
                 denom: int, pos_weight: np.ndarray | None = None):
-    """Binary cross-entropy on the entries where mask is set, over denom;
-    pos_weight scales the positive term per class.  Logs via softplus."""
+    """Binary cross-entropy on the entries where mask is set, over denom.
+    Logs via softplus.
+
+    Boolean (hard) targets take one softplus per entry, log(1 + e^-x) on
+    positives and log(1 + e^x) on negatives: the same bits as the soft
+    formula gives at targets 1.0 and 0.0.  pos_weight, for hard targets,
+    scales the positive term per class.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if denom == 0:
         return 0.0, np.zeros_like(logits)
-    targets = np.asarray(targets, dtype=np.float64)
-    wt = targets if pos_weight is None else pos_weight * targets
-    per_entry = -(wt * -np.logaddexp(0.0, -logits)
-                  + (1.0 - targets) * -np.logaddexp(0.0, logits))
+    targets = np.asarray(targets)
+    if targets.dtype == bool:
+        per_entry = np.logaddexp(0.0, np.where(targets, -logits, logits))
+    else:
+        targets = targets.astype(np.float64, copy=False)
+        per_entry = -(targets * -np.logaddexp(0.0, -logits)
+                      + (1.0 - targets) * -np.logaddexp(0.0, logits))
     diff = nn.sigmoid(logits) - targets
     if pos_weight is not None:
-        diff *= np.where(targets > 0, pos_weight, 1.0)
+        w = np.where(targets, pos_weight, 1.0)
+        per_entry *= w
+        diff *= w
     return float((mask * per_entry).sum() / denom), mask * diff / denom
 
 
@@ -219,7 +237,7 @@ def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
     """
     if task == "single":
         return _softmax_ce(logits, values, np.count_nonzero(known.any(axis=1)))
-    return _masked_bce(logits, values, known, np.count_nonzero(known),
+    return _masked_bce(logits, values == 1.0, known, np.count_nonzero(known),
                        class_weights)
 
 
@@ -262,54 +280,69 @@ def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
     return x, y
 
 
-def ude_candidates(known: np.ndarray, cfg: ClientConfig) -> int:
-    """MixUp candidate pairs per batch: ude_batch_size when some class is
+def ude_candidates(known: np.ndarray, part: UncertaintyPartition,
+                   cfg: ClientConfig) -> int:
+    """MixUp candidate pairs per batch: none when the partition has no
+    confident or no uncertain rows; else ude_batch_size when some class is
     known on every row (then every pair is usable), else
     UDE_CANDIDATES_PER_PAIR times as many."""
+    if len(part.low) == 0 or len(part.high) == 0:
+        return 0
     per_pair = 1 if known.all(axis=0).any() else UDE_CANDIDATES_PER_PAIR
     return per_pair * cfg.ude_batch_size
 
 
-def ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
-              part: UncertaintyPartition, teacher: nn.ModelParams,
-              spec: ClientSpec, cfg: ClientConfig, rng: np.random.Generator,
-              candidates: int | None = None):
-    """Sample up to ude_batch_size MixUp pairs of (confident, uncertain).
+class MixDraw(NamedTuple):
+    """One batch's MixUp draws: n confident then n uncertain candidate
+    members (row indices), their inputs and weak views, and n mixing
+    weights."""
 
-    x, values and known hold the client's samples row by row; `part`
-    indexes the rows.  `candidates` pairs (default ude_candidates(known,
-    cfg)) are drawn at once, and one teacher pass labels all their
-    members' weak views.  Confident and uncertain members alike take
-    their known labels first and, elsewhere, the pseudo-label rule's
-    verdicts at the relaxed thresholds, so a pseudo label only names an
-    unknown class.  A pair is valid on the classes where both members are
-    usable and is usable when it has one such class.  The first
-    ude_batch_size usable candidates come back in draw order, so fewer
-    pairs may come back.  Returns (inputs, soft labels, valid-entry mask).
+    members: np.ndarray
+    x: np.ndarray
+    views: np.ndarray
+    lams: np.ndarray
+
+
+def draw_mix(x: np.ndarray, part: UncertaintyPartition, n: int,
+             cfg: ClientConfig, rng: np.random.Generator) -> MixDraw:
+    """Draw n MixUp candidate pairs of (confident, uncertain) rows of x.
+
+    The stream order is the low members, the high members, the members'
+    weak views, then the mixing weights; n = 0 draws nothing.
     """
-    m = teacher.num_classes
-    if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
-        return (np.zeros((0, x.shape[1])), np.zeros((0, m)),
-                np.zeros((0, m), dtype=bool))
-    n = ude_candidates(known, cfg) if candidates is None else candidates
-    hi, lo = (cfg.tau_l, None) if spec.task == "single" \
-        else (cfg.tau_lp, cfg.tau_ln)
-    low_idx = _draw_with_replacement(part.low, n, rng)
-    high_idx = _draw_with_replacement(part.high, n, rng)
-    members = np.concatenate([low_idx, high_idx])
+    if n == 0:
+        return MixDraw(np.zeros(0, dtype=np.intp), x[:0], x[:0], np.zeros(0))
+    members = np.concatenate([_draw_with_replacement(part.low, n, rng),
+                              _draw_with_replacement(part.high, n, rng)])
+    x_members = x[members]
     # One draw of 2n weak views is the same stream as a draw for the low
     # members followed by one for the high members.
-    logits = nn.forward(teacher, augment_weak_batch(
-        x[members], rng, cfg.augment)).logits
-    pos, neg = _decide(logits, spec.unknown, spec.task, hi,
-                       lo).masks(known[members])
-    y = np.where(pos, 1.0, values[members])
-    ok = known[members] | pos | neg
-    lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
+    views = augment_weak_batch(x_members, rng, cfg.augment)
+    return MixDraw(members, x_members, views,
+                   rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n))
+
+
+def ude_batch(mix: MixDraw, values: np.ndarray, known: np.ndarray,
+              pos: np.ndarray, neg: np.ndarray, cfg: ClientConfig):
+    """Up to ude_batch_size MixUp pairs of (confident, uncertain) rows.
+
+    values and known hold the client's labels row by row; pos and neg are
+    the teacher's verdict masks on the members of `mix`, taken at the
+    relaxed thresholds.  Confident and uncertain members alike take their
+    known labels first and, elsewhere, those verdicts, so a pseudo label
+    only names an unknown class.  A pair is valid on the classes where
+    both members are usable and is usable when it has one such class.
+    The first ude_batch_size usable candidates come back in draw order, so
+    fewer pairs may come back.  Returns (inputs, soft labels, valid-entry
+    mask).
+    """
+    n = len(mix.lams)
+    y = np.where(pos, 1.0, values[mix.members])
+    ok = known[mix.members] | pos | neg
     pair_ok = ok[:n] & ok[n:]
     keep = np.flatnonzero(pair_ok.any(axis=1))[:cfg.ude_batch_size]
-    x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
-                         y[n + keep], lams[keep, None])
+    x_mix, y_mix = mixup(mix.x[keep], y[keep], mix.x[n + keep], y[n + keep],
+                         mix.lams[keep, None])
     return x_mix, y_mix, pair_ok[keep]
 
 
@@ -374,6 +407,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     class_weights = compute_class_weights(values, known, spec.identified) \
         if spec.task == "multi" else None
 
+    b = cfg.batch_size
+    mixing = use_pseudo and cfg.ude_weight > 0
     if use_pseudo:
         part = partition(x, global_params, spec.task, spec.unknown,
                          cfg.frac_l, cfg.frac_h)
@@ -382,11 +417,19 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             raise ConfigError(f"client {spec.client_id}: no trainable "
                               "samples (frac_h leaves nothing below high "
                               "uncertainty)")
-        candidates = ude_candidates(known, cfg)
+        n_mix = ude_candidates(known, part, cfg) if mixing else 0
+        # Per teacher row: the pseudo-label thresholds on the batch's weak
+        # views, then the relaxed ones on the 2 * n_mix MixUp members.
+        split = [b, 2 * n_mix]
+        if spec.task == "single":
+            hi = np.repeat([cfg.tau, cfg.tau_l], split)
+        else:
+            hi = np.repeat([cfg.tau_p, cfg.tau_lp], split)
+            lo = np.repeat([cfg.tau_n, cfg.tau_ln], split)
     else:
         pool = np.flatnonzero(known.any(axis=1))
 
-    epoch_iters = max(1, math.ceil(pool.size / cfg.batch_size))
+    epoch_iters = max(1, math.ceil(pool.size / b))
     edd_window_start = max(0, cfg.local_iters - epoch_iters)
     # per sample: the positive classes of its latest confident pseudo
     # verdict inside the window
@@ -397,44 +440,56 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     for it in range(cfg.local_iters):
         if pool.size == 0:
             break
-        if pool.size < cfg.batch_size:
-            batch_idx = _draw_with_replacement(pool, cfg.batch_size, rng)
+        if pool.size < b:
+            batch_idx = _draw_with_replacement(pool, b, rng)
         else:
-            batch_idx = rng.choice(pool, size=cfg.batch_size, replace=False)
+            batch_idx = rng.choice(pool, size=b, replace=False)
         x_batch = x[batch_idx]
         x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
-        cache_w = nn.forward(student, x_weak)
-        l_i, dl_w = loss_identified(cache_w.logits, values[batch_idx],
-                                    known[batch_idx], spec.task, class_weights)
-        grads = nn.backward(student, cache_w, dl_w)
-
         l_u = l_ude = 0.0
-        if use_pseudo:
+        if not use_pseudo:
+            cache = nn.forward(student, x_weak)
+            l_i, dlogits = loss_identified(cache.logits, values[batch_idx],
+                                           known[batch_idx], spec.task,
+                                           class_weights)
+        else:
+            # Every random number of the step is drawn before any pass.
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
+            x_teacher, rows = x_weak, batch_idx
+            if mixing:
+                mix = draw_mix(x, part, n_mix, cfg, rng)
+                x_teacher = np.concatenate([x_weak, mix.views])
+                rows = np.concatenate([batch_idx, mix.members])
+            # One teacher pass labels the weak views and the MixUp members.
             if spec.task == "single":
-                dec = pseudo_single(teacher, x_weak, spec.unknown, cfg.tau)
+                dec = pseudo_single(teacher, x_teacher, spec.unknown, hi)
             else:
-                dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
-                                   cfg.tau_n)
+                dec = pseudo_multi(teacher, x_teacher, spec.unknown, hi, lo)
             # Labeled samples belong to the supervised loss, never the
             # pseudo loss.
-            hits, negative = dec.masks(known[batch_idx])
+            known_t = known[rows]
+            pos, neg = dec.masks(known_t)
+            hits, negative = pos[:b], neg[:b]
+            x_student = [x_weak, x_strong]
+            if mixing:
+                x_mix, y_mix, valid = ude_batch(mix, values, known, pos[b:],
+                                                neg[b:], cfg)
+                x_student.append(x_mix)
 
-            cache_s = nn.forward(student, x_strong)
-            l_u, dl_s = loss_unknown(cache_s.logits, hits, spec.task, negative)
-            grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
-
-            if cfg.ude_weight > 0:
-                x_mix, y_mix, valid = ude_batch(x, values, known, part,
-                                                teacher, spec, cfg, rng,
-                                                candidates)
-                if x_mix.shape[0] > 0:
-                    cache_u = nn.forward(student, x_mix)
-                    l_ude, dl_u = loss_ude(cache_u.logits, y_mix, spec.task,
-                                           valid)
-                    grads = nn.add_params(grads,
-                                          nn.backward(student, cache_u, dl_u),
-                                          scale=cfg.ude_weight)
+            # One student pass and one backward over [weak; strong; mix],
+            # each loss on its rows.
+            cache = nn.forward(student, np.concatenate(x_student))
+            logits = cache.logits
+            l_i, dl_w = loss_identified(logits[:b], values[batch_idx],
+                                        known_t[:b], spec.task, class_weights)
+            l_u, dl_s = loss_unknown(logits[b:2 * b], hits, spec.task,
+                                     negative)
+            dl = [dl_w, dl_s]
+            if mixing and len(x_mix) > 0:
+                l_ude, dl_u = loss_ude(logits[2 * b:], y_mix, spec.task, valid)
+                dl.append(cfg.ude_weight * dl_u)
+            dlogits = np.concatenate(dl)
+        grads = nn.backward(student, cache, dlogits)
 
         total = l_i + l_u + cfg.ude_weight * l_ude
         if not np.isfinite(total):

@@ -271,7 +271,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 def gradcheck(params: ModelParams, batch: np.ndarray, loss_fn,

@@ -351,6 +351,16 @@ def test_gradcheck_verb(capsys):
     assert "worst relative error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("nets", ["0", "-3"])
+def test_gradcheck_rejects_fewer_than_one_net(capsys, nets):
+    # with no net nothing is checked, not even --eps
+    for extra in ([], ["--eps", "5"]):
+        assert run_cli("gradcheck", "--nets", nets, "--quiet", *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --nets must be >= 1, got {nets}\n"
+        assert captured.out == ""
+
+
 def test_gradcheck_rejects_bad_eps():
     assert run_cli("gradcheck", "--nets", "1", "--eps", "0.5",
                    "--quiet") == 1

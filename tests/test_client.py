@@ -1,24 +1,29 @@
 """Local training: pseudo labels, losses, MixUp batches, EDD counting."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from fedlsm import nn
+from fedlsm import client, nn
 from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
-                           PseudoLabelDecision, _decide,
+                           ClientUpdate, PseudoLabelDecision, _decide,
                            _draw_with_replacement, _track_verdicts,
-                           compute_class_weights, local_train,
+                           compute_class_weights, draw_mix, local_train,
                            loss_identified, loss_ude, loss_unknown, mixup,
-                           pseudo_multi, pseudo_single, ude_batch)
+                           pseudo_multi, pseudo_single, ude_batch,
+                           ude_candidates)
 from fedlsm.data import (AugmentConfig, ClientData, ClientSpec,
-                         FederationConfig, augment_weak_batch, gen_federation)
-from fedlsm.errors import ConfigError
+                         FederationConfig, augment_strong_batch,
+                         augment_weak_batch, gen_federation)
+from fedlsm.errors import ConfigError, NumericError
 from fedlsm.server import run_federation
-from fedlsm.uncertainty import UncertaintyPartition
+from fedlsm.uncertainty import UncertaintyPartition, partition
 
 LN2 = math.log(2.0)
 
@@ -65,6 +70,20 @@ def client_arrays(samples):
     """(x, values, known) arrays of a list of (x, label) rows."""
     return (np.stack([x for x, _ in samples]),
             *stacked([label for _, label in samples]))
+
+
+def mix_batch(x, values, known, part, teacher, spec, cfg, rng):
+    """One MixUp batch as local_train builds it: draw the candidate pairs,
+    label the members' weak views in one teacher pass at the relaxed
+    thresholds, then ude_batch."""
+    mix = draw_mix(x, part, ude_candidates(known, part, cfg), cfg, rng)
+    if spec.task == "single":
+        dec = pseudo_single(teacher, mix.views, spec.unknown, cfg.tau_l)
+    else:
+        dec = pseudo_multi(teacher, mix.views, spec.unknown, cfg.tau_lp,
+                           cfg.tau_ln)
+    pos, neg = dec.masks(known[mix.members])
+    return ude_batch(mix, values, known, pos, neg, cfg)
 
 
 # ------------------------------------------------------------- pseudo labels
@@ -239,7 +258,7 @@ def _mix_setup(task, confident_high, high_class=2):
 
 def test_ude_batch_single_builds_convex_pairs():
     samples, part, teacher, spec, cfg = _mix_setup("single", True)
-    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    xs, ys, valid = mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 3 and valid.shape == (3, 3) and valid.all()
     for y in ys:
@@ -251,7 +270,7 @@ def test_ude_batch_single_builds_convex_pairs():
 
 def test_ude_batch_single_rejects_unconfident_members():
     samples, part, teacher, spec, cfg = _mix_setup("single", False)
-    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    xs, ys, valid = mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 0
 
@@ -261,7 +280,7 @@ def test_ude_batch_never_pseudo_labels_an_identified_class():
     # which the client identifies: no pseudo label, so no usable pair
     samples, part, teacher, spec, cfg = _mix_setup("single", True,
                                                    high_class=0)
-    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    xs, ys, valid = mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 0 and valid.shape == (0, 3)
 
@@ -282,7 +301,7 @@ def test_decision_masks_skip_labeled_rows_and_pass_multi_state():
 
 def test_ude_batch_multi_validity_mask():
     samples, part, teacher, spec, cfg = _mix_setup("multi", True)
-    xs, ys, valid = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    xs, ys, valid = mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
                               np.random.default_rng(0))
     assert xs.shape[0] == 3
     # known class 0 only on the low member; the high member must earn it
@@ -293,9 +312,9 @@ def test_ude_batch_multi_validity_mask():
 
 def test_ude_batch_deterministic():
     samples, part, teacher, spec, cfg = _mix_setup("single", True)
-    a = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    a = mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
                   np.random.default_rng(7))
-    b = ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    b = mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
                   np.random.default_rng(7))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
@@ -314,7 +333,7 @@ def test_ude_batch_makes_one_teacher_pass(monkeypatch, setup):
     forward = nn.forward
     monkeypatch.setattr(nn, "forward",
                         lambda *a, **kw: calls.append(1) or forward(*a, **kw))
-    ude_batch(*client_arrays(samples), part, teacher, spec, cfg,
+    mix_batch(*client_arrays(samples), part, teacher, spec, cfg,
               np.random.default_rng(5))
     assert len(calls) == 1
 
@@ -331,7 +350,7 @@ def test_ude_batch_with_an_always_known_class_draws_one_plain_pass(task,
     else:  # class 0 known on every row
         known[:, 0] = True
     rng_a = np.random.default_rng(seed)
-    got = ude_batch(x, values, known, part, teacher, spec, cfg, rng_a)
+    got = mix_batch(x, values, known, part, teacher, spec, cfg, rng_a)
 
     # The draws of round one of the earlier retry loop, verbatim.
     rng = np.random.default_rng(seed)
@@ -378,7 +397,7 @@ def test_ude_batch_returns_first_usable_candidates_in_draw_order():
     n = UDE_CANDIDATES_PER_PAIR * cfg.ude_batch_size
     sizes = set()
     for seed in range(12):
-        xs, ys, valid = ude_batch(*client_arrays(samples), part,
+        xs, ys, valid = mix_batch(*client_arrays(samples), part,
                                   probe_net(m), spec, cfg,
                                   np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
@@ -805,7 +824,7 @@ def test_ude_batch_matches_per_row_reference_exactly(task, seed):
     dataset, part, teacher, spec, cfg = reference_setup(task, seed)
     rng_a = np.random.default_rng(100 + seed)
     rng_b = np.random.default_rng(100 + seed)
-    got = ude_batch(*client_arrays(dataset), part, teacher, spec, cfg, rng_a)
+    got = mix_batch(*client_arrays(dataset), part, teacher, spec, cfg, rng_a)
     want = reference_ude_batch(dataset, part, teacher, spec, cfg, rng_b)
     assert got[0].shape[0] > 0
     assert got[0].tobytes() == want[0].tobytes()
@@ -845,3 +864,323 @@ def test_draw_with_replacement_matches_generator_choice(seed, pool_size):
         want = b.choice(pool, size=k, replace=True)
         assert got.tobytes() == want.tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+
+# ------------------------------------------- fused step vs the parent loop
+#
+# reference_local_train is the local round as it was before each step's
+# passes were fused: separate student passes on the weak, strong and
+# MixUp rows, whose three backward() results add_params summed, and a
+# second teacher pass inside the MixUp batch (parent_ude_batch, with
+# parent_ude_candidates).  All three are kept verbatim.  The fused step
+# draws the same random numbers, makes the same verdicts and sums the
+# same gradient rows in one matrix product, so parameters and losses may
+# differ only by rounding.
+
+def parent_ude_candidates(known: np.ndarray, cfg: ClientConfig) -> int:
+    """MixUp candidate pairs per batch: ude_batch_size when some class is
+    known on every row (then every pair is usable), else
+    UDE_CANDIDATES_PER_PAIR times as many."""
+    per_pair = 1 if known.all(axis=0).any() else UDE_CANDIDATES_PER_PAIR
+    return per_pair * cfg.ude_batch_size
+
+
+def parent_ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
+                     part: UncertaintyPartition, teacher: nn.ModelParams,
+                     spec: ClientSpec, cfg: ClientConfig,
+                     rng: np.random.Generator, candidates: int | None = None):
+    """Sample up to ude_batch_size MixUp pairs of (confident, uncertain).
+
+    x, values and known hold the client's samples row by row; `part`
+    indexes the rows.  `candidates` pairs (default ude_candidates(known,
+    cfg)) are drawn at once, and one teacher pass labels all their
+    members' weak views.  Confident and uncertain members alike take
+    their known labels first and, elsewhere, the pseudo-label rule's
+    verdicts at the relaxed thresholds, so a pseudo label only names an
+    unknown class.  A pair is valid on the classes where both members are
+    usable and is usable when it has one such class.  The first
+    ude_batch_size usable candidates come back in draw order, so fewer
+    pairs may come back.  Returns (inputs, soft labels, valid-entry mask).
+    """
+    m = teacher.num_classes
+    if len(part.high) == 0 or len(part.low) == 0 or cfg.ude_batch_size == 0:
+        return (np.zeros((0, x.shape[1])), np.zeros((0, m)),
+                np.zeros((0, m), dtype=bool))
+    n = parent_ude_candidates(known, cfg) if candidates is None \
+        else candidates
+    hi, lo = (cfg.tau_l, None) if spec.task == "single" \
+        else (cfg.tau_lp, cfg.tau_ln)
+    low_idx = _draw_with_replacement(part.low, n, rng)
+    high_idx = _draw_with_replacement(part.high, n, rng)
+    members = np.concatenate([low_idx, high_idx])
+    # One draw of 2n weak views is the same stream as a draw for the low
+    # members followed by one for the high members.
+    logits = nn.forward(teacher, augment_weak_batch(
+        x[members], rng, cfg.augment)).logits
+    pos, neg = _decide(logits, spec.unknown, spec.task, hi,
+                       lo).masks(known[members])
+    y = np.where(pos, 1.0, values[members])
+    ok = known[members] | pos | neg
+    lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
+    pair_ok = ok[:n] & ok[n:]
+    keep = np.flatnonzero(pair_ok.any(axis=1))[:cfg.ude_batch_size]
+    x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
+                         y[n + keep], lams[keep, None])
+    return x_mix, y_mix, pair_ok[keep]
+
+
+def reference_local_train(global_params: nn.ModelParams, data: ClientData,
+                          spec: ClientSpec, cfg: ClientConfig, round_idx: int,
+                          seed: int, use_pseudo: bool = True) -> ClientUpdate:
+    """Run one client round and emit the update for the server.
+
+    With use_pseudo off this is plain FedAvg-style local training:
+    the supervised loss alone, over the labeled samples (single-label) or
+    all samples (multi-label), with no teacher, partition or MixUp.
+
+    The estimated class distribution counts true labels for identified
+    classes and, for unknown classes, the distinct samples that received a
+    confident pseudo label during the last epoch-equivalent window of
+    training iterations (so zero local iterations means zero pseudo
+    counts).
+    """
+    if len(data) == 0:
+        raise ConfigError(f"client {spec.client_id}: empty dataset")
+    cfg.validate()
+    m = global_params.num_classes
+    x, values, known = data.x, data.values, data.known
+    rng = np.random.default_rng([seed, round_idx, spec.client_id])
+    lr_t = cfg.lr_at(round_idx)
+
+    student = teacher = global_params
+    adam = nn.AdamState.init(student)
+    # values are zero where not known; unknown-class counts come at the end
+    edd = values.sum(axis=0)
+    edd[list(spec.unknown)] = 0.0
+    class_weights = compute_class_weights(values, known, spec.identified) \
+        if spec.task == "multi" else None
+
+    if use_pseudo:
+        part = partition(x, global_params, spec.task, spec.unknown,
+                         cfg.frac_l, cfg.frac_h)
+        pool = np.sort(np.concatenate([part.low, part.mid]))
+        if pool.size == 0 and cfg.local_iters > 0:
+            raise ConfigError(f"client {spec.client_id}: no trainable "
+                              "samples (frac_h leaves nothing below high "
+                              "uncertainty)")
+        candidates = parent_ude_candidates(known, cfg)
+    else:
+        pool = np.flatnonzero(known.any(axis=1))
+
+    epoch_iters = max(1, math.ceil(pool.size / cfg.batch_size))
+    edd_window_start = max(0, cfg.local_iters - epoch_iters)
+    # per sample: the positive classes of its latest confident pseudo
+    # verdict inside the window
+    tracked = np.zeros((len(data), m), dtype=bool)
+
+    loss_sums = np.zeros(3)
+    kept_total = 0
+    for it in range(cfg.local_iters):
+        if pool.size == 0:
+            break
+        if pool.size < cfg.batch_size:
+            batch_idx = _draw_with_replacement(pool, cfg.batch_size, rng)
+        else:
+            batch_idx = rng.choice(pool, size=cfg.batch_size, replace=False)
+        x_batch = x[batch_idx]
+        x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
+        cache_w = nn.forward(student, x_weak)
+        l_i, dl_w = loss_identified(cache_w.logits, values[batch_idx],
+                                    known[batch_idx], spec.task, class_weights)
+        grads = nn.backward(student, cache_w, dl_w)
+
+        l_u = l_ude = 0.0
+        if use_pseudo:
+            x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
+            if spec.task == "single":
+                dec = pseudo_single(teacher, x_weak, spec.unknown, cfg.tau)
+            else:
+                dec = pseudo_multi(teacher, x_weak, spec.unknown, cfg.tau_p,
+                                   cfg.tau_n)
+            # Labeled samples belong to the supervised loss, never the
+            # pseudo loss.
+            hits, negative = dec.masks(known[batch_idx])
+
+            cache_s = nn.forward(student, x_strong)
+            l_u, dl_s = loss_unknown(cache_s.logits, hits, spec.task, negative)
+            grads = nn.add_params(grads, nn.backward(student, cache_s, dl_s))
+
+            if cfg.ude_weight > 0:
+                x_mix, y_mix, valid = parent_ude_batch(x, values, known,
+                                                       part, teacher, spec,
+                                                       cfg, rng, candidates)
+                if x_mix.shape[0] > 0:
+                    cache_u = nn.forward(student, x_mix)
+                    l_ude, dl_u = loss_ude(cache_u.logits, y_mix, spec.task,
+                                           valid)
+                    grads = nn.add_params(grads,
+                                          nn.backward(student, cache_u, dl_u),
+                                          scale=cfg.ude_weight)
+
+        total = l_i + l_u + cfg.ude_weight * l_ude
+        if not np.isfinite(total):
+            raise NumericError(
+                f"client {spec.client_id}: non-finite loss at round "
+                f"{round_idx} iter {it} (L_I={l_i}, L_U={l_u}, L_UDE={l_ude})")
+        student, adam = nn.adam_step(student, grads, adam, lr_t)
+        loss_sums += (l_i, l_u, l_ude)
+        if not use_pseudo:
+            continue
+        teacher = nn.ema_update(teacher, student, cfg.ema_decay)
+        kept_total += int(hits.sum())
+        if it >= edd_window_start:
+            _track_verdicts(tracked, batch_idx, hits)
+
+    edd += tracked.sum(axis=0)
+    iters = max(cfg.local_iters, 1)
+    stats = {
+        "loss_identified": float(loss_sums[0] / iters),
+        "loss_unknown": float(loss_sums[1] / iters),
+        "loss_ude": float(loss_sums[2] / iters),
+        "kept_pseudo": kept_total,
+    }
+    return ClientUpdate(client_id=spec.client_id, params=student,
+                        n_samples=len(data), edd=edd, stats=stats)
+
+
+def equivalence_setup(task, seed):
+    fed = gen_federation(FederationConfig(
+        n_clients=2, n_classes=5, classes_per_client=3, feature_dim=6,
+        samples_per_client=60, n_val=10, n_test=40, task=task, seed=seed))
+    params = nn.init_params([6, 8], 5, seed=seed)
+    params.proxies[...] *= 4.0  # a teacher confident on some rows
+    return fed, params
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("ude_weight", [0.1, 0.0])
+@pytest.mark.parametrize("batch_size", [16, 64])  # 64 > the 54-row pool
+def test_fused_step_matches_parent_loop(monkeypatch, task, seed, ude_weight,
+                                        batch_size):
+    fed, params = equivalence_setup(task, seed)
+    cfg = ClientConfig(tau=0.6, tau_l=0.4, tau_p=0.8, tau_n=0.05,
+                       tau_lp=0.6, tau_ln=0.1, ude_weight=ude_weight,
+                       local_iters=6, batch_size=batch_size,
+                       ude_batch_size=4, lr=3e-3)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: made.append(default_rng(*a)) or made[-1])
+    kept = 0
+    for spec, data in zip(fed.specs, fed.clients):
+        want = reference_local_train(params, data, spec, cfg, round_idx=1,
+                                     seed=seed)
+        got = local_train(params, data, spec, cfg, round_idx=1, seed=seed)
+        assert len(made) == 2
+        assert made[0].bit_generator.state == made[1].bit_generator.state
+        made.clear()
+        assert got.stats["kept_pseudo"] == want.stats["kept_pseudo"]
+        kept += got.stats["kept_pseudo"]
+        assert got.edd.tobytes() == want.edd.tobytes()
+        assert np.abs(got.params.flat - want.params.flat).max() <= 1e-12
+        for key in ("loss_identified", "loss_unknown", "loss_ude"):
+            assert got.stats[key] == pytest.approx(want.stats[key], rel=1e-12,
+                                                   abs=0.0)
+        assert (want.stats["loss_ude"] > 0) == (ude_weight > 0)
+    assert kept > 0  # the pseudo-label loss took part
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("ude_weight", [0.1, 0.0])
+def test_local_train_makes_one_teacher_and_one_student_pass_per_step(
+        monkeypatch, task, ude_weight):
+    fed, params = equivalence_setup(task, 0)
+    cfg = ClientConfig(tau=0.6, tau_l=0.4, ude_weight=ude_weight,
+                       local_iters=5, batch_size=16, ude_batch_size=4)
+    counts = Counter()
+    for name in ("forward", "backward", "add_params"):
+        fn = getattr(nn, name)
+        monkeypatch.setattr(nn, name, lambda *a, _fn=fn, _name=name, **kw:
+                            counts.update([_name]) or _fn(*a, **kw))
+    inside_ude = []
+    ude = client.ude_batch
+
+    def counted_ude(*args, **kwargs):
+        before = counts["forward"]
+        out = ude(*args, **kwargs)
+        inside_ude.append(counts["forward"] - before)
+        return out
+
+    monkeypatch.setattr(client, "ude_batch", counted_ude)
+    local_train(params, fed.clients[0], fed.specs[0], cfg, round_idx=0,
+                seed=0)
+    steps = cfg.local_iters
+    # one partition pass, then a teacher and a student pass per step
+    assert counts == {"forward": 1 + 2 * steps, "backward": steps}
+    assert inside_ude == ([0] * steps if ude_weight > 0 else [])
+
+
+def parent_masked_bce(logits: np.ndarray, targets: np.ndarray,
+                      mask: np.ndarray, denom: int,
+                      pos_weight: np.ndarray | None = None):
+    """_masked_bce with two softplus terms per entry, verbatim."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if denom == 0:
+        return 0.0, np.zeros_like(logits)
+    targets = np.asarray(targets, dtype=np.float64)
+    wt = targets if pos_weight is None else pos_weight * targets
+    per_entry = -(wt * -np.logaddexp(0.0, -logits)
+                  + (1.0 - targets) * -np.logaddexp(0.0, logits))
+    diff = nn.sigmoid(logits) - targets
+    if pos_weight is not None:
+        diff *= np.where(targets > 0, pos_weight, 1.0)
+    return float((mask * per_entry).sum() / denom), mask * diff / denom
+
+
+EDGE_LOGITS = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+               800.0, -800.0]
+
+
+def assert_hard_bce_bits(logits, one, known, negative, weights):
+    """loss_identified and loss_unknown (multi) against the two-softplus
+    formula, bit for bit, with and without per-class weights."""
+    values = np.where(known, one, 0.0)
+    for w in (None, weights):
+        got = loss_identified(logits, values, known, "multi", w)
+        want = parent_masked_bce(logits, values, known,
+                                 np.count_nonzero(known), w)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    hits = one & ~negative
+    got = loss_unknown(logits, hits, "multi", negative)
+    want = parent_masked_bce(logits, hits, hits | negative, len(logits))
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_hard_label_bce_matches_two_softplus_formula_at_edge_logits():
+    logits = np.array([EDGE_LOGITS, EDGE_LOGITS])
+    one = np.array([[True] * 10, [False] * 10])
+    known = np.ones_like(one)
+    negative = ~one
+    weights = np.linspace(1.0, 40.0, 10)
+    assert_hard_bce_bits(logits, one, known, negative, weights)
+    assert_hard_bce_bits(logits, one, known, np.zeros_like(one), weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hard_label_bce_matches_two_softplus_formula_bits(data):
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+
+    def matrix(elements):
+        return np.array(data.draw(st.lists(
+            elements, min_size=n * m, max_size=n * m))).reshape(n, m)
+
+    logits = matrix(st.one_of(st.sampled_from(EDGE_LOGITS),
+                              st.floats(-900.0, 900.0))).astype(np.float64)
+    one, known, negative = (matrix(st.booleans()) for _ in range(3))
+    weights = np.array(data.draw(st.lists(st.floats(1.0, 100.0),
+                                          min_size=m, max_size=m)))
+    assert_hard_bce_bits(logits, one, known, negative & ~one, weights)
