@@ -10,10 +10,11 @@ teacher labels weakly augmented views; the student is penalized on
 strongly augmented views.  Uncertain samples that the confidence filter
 would otherwise ignore enter through MixUp pairs against confident ones.
 
-A step makes one teacher pass, over the batch's weak views and the MixUp
-members' weak views, and one student pass over [weak; strong; MixUp]
-rows.  Every loss returns (value, dloss/dlogits) on its rows of the
-student pass, so the step's gradient comes from one backward() call.
+A fedlsm step makes one teacher pass, over the batch's weak views and the
+MixUp members' weak views; every step makes one student pass, over
+[weak; strong; MixUp] rows (FedAvg: weak only).  Every loss returns
+(value, dloss/dlogits) on its rows of the student pass, so the step's
+gradient comes from one backward() call.
 """
 
 from __future__ import annotations
@@ -68,19 +69,18 @@ class ClientConfig:
         if not 0 <= self.ude_batch_size <= self.batch_size:
             raise ConfigError(
                 f"{path}: need 0 <= ude_batch_size <= batch_size")
-        if self.mixup_alpha <= 0:
-            raise ConfigError(f"{path}: mixup_alpha must be positive")
-        if self.ude_weight < 0:
-            raise ConfigError(f"{path}: ude_weight must be >= 0")
+        for name in ("mixup_alpha", "lr"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{path}: {name} must be finite and > 0")
+        for name in ("ude_weight", "lr_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{path}: {name} must be finite and >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError(f"{path}: ema_decay must be in [0, 1]")
-        if self.lr <= 0:
-            raise ConfigError(f"{path}: lr must be positive")
-        if self.lr_decay < 0:
-            raise ConfigError(f"{path}: lr_decay must be >= 0")
         if self.local_iters < 0 or self.batch_size < 1:
             raise ConfigError(f"{path}: bad local_iters/batch_size")
-        if self.frac_l < 0 or self.frac_h < 0 or self.frac_l + self.frac_h > 1:
+        if self.frac_l < 0 or self.frac_h < 0 or \
+                not self.frac_l + self.frac_h <= 1:
             raise ConfigError(f"{path}: need frac_l + frac_h <= 1")
         self.augment.validate(f"{path}.augment")
 
@@ -148,7 +148,7 @@ def _decide(logits: np.ndarray, unknown, task: str, hi,
     if task == "single":
         probs = nn.softmax(logits)
         klass = probs.argmax(axis=1)
-        kept = (probs.max(axis=1) >= hi) & cols[klass]
+        kept = (probs[np.arange(len(probs)), klass] >= hi) & cols[klass]
         return PseudoLabelDecision(kept=kept, klass=klass)
     probs = nn.sigmoid(logits)
     # lo < hi, so a class is never both confidently positive and negative
@@ -381,9 +381,12 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
                 seed: int, use_pseudo: bool = True) -> ClientUpdate:
     """Run one client round and emit the update for the server.
 
-    With use_pseudo off this is plain FedAvg-style local training:
-    the supervised loss alone, over the labeled samples (single-label) or
-    all samples (multi-label), with no teacher, partition or MixUp.
+    Every mode takes one step path: one student forward and backward over
+    the batch's weak views, plus, with use_pseudo on, its strong views and
+    MixUp rows (none when ude_weight is 0).  With use_pseudo off this is
+    plain FedAvg-style local training: the supervised loss alone, over the
+    labeled samples (single-label) or all samples (multi-label), with no
+    teacher, partition or MixUp.
 
     The estimated class distribution counts true labels for identified
     classes and, for unknown classes, the distinct samples that received a
@@ -408,7 +411,6 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         if spec.task == "multi" else None
 
     b = cfg.batch_size
-    mixing = use_pseudo and cfg.ude_weight > 0
     if use_pseudo:
         part = partition(x, global_params, spec.task, spec.unknown,
                          cfg.frac_l, cfg.frac_h)
@@ -417,7 +419,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             raise ConfigError(f"client {spec.client_id}: no trainable "
                               "samples (frac_h leaves nothing below high "
                               "uncertainty)")
-        n_mix = ude_candidates(known, part, cfg) if mixing else 0
+        # MixUp off is zero candidate pairs: nothing drawn, no rows.
+        n_mix = ude_candidates(known, part, cfg) if cfg.ude_weight > 0 else 0
         # Per teacher row: the pseudo-label thresholds on the batch's weak
         # views, then the relaxed ones on the 2 * n_mix MixUp members.
         split = [b, 2 * n_mix]
@@ -446,50 +449,41 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             batch_idx = rng.choice(pool, size=b, replace=False)
         x_batch = x[batch_idx]
         x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
-        l_u = l_ude = 0.0
-        if not use_pseudo:
-            cache = nn.forward(student, x_weak)
-            l_i, dlogits = loss_identified(cache.logits, values[batch_idx],
-                                           known[batch_idx], spec.task,
-                                           class_weights)
-        else:
+        x_student = [x_weak]
+        if use_pseudo:
             # Every random number of the step is drawn before any pass.
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
-            x_teacher, rows = x_weak, batch_idx
-            if mixing:
-                mix = draw_mix(x, part, n_mix, cfg, rng)
-                x_teacher = np.concatenate([x_weak, mix.views])
-                rows = np.concatenate([batch_idx, mix.members])
+            mix = draw_mix(x, part, n_mix, cfg, rng)
             # One teacher pass labels the weak views and the MixUp members.
+            x_teacher = np.concatenate([x_weak, mix.views])
             if spec.task == "single":
                 dec = pseudo_single(teacher, x_teacher, spec.unknown, hi)
             else:
                 dec = pseudo_multi(teacher, x_teacher, spec.unknown, hi, lo)
             # Labeled samples belong to the supervised loss, never the
             # pseudo loss.
-            known_t = known[rows]
-            pos, neg = dec.masks(known_t)
+            pos, neg = dec.masks(known[np.concatenate([batch_idx,
+                                                       mix.members])])
             hits, negative = pos[:b], neg[:b]
-            x_student = [x_weak, x_strong]
-            if mixing:
-                x_mix, y_mix, valid = ude_batch(mix, values, known, pos[b:],
-                                                neg[b:], cfg)
-                x_student.append(x_mix)
+            x_mix, y_mix, valid = ude_batch(mix, values, known, pos[b:],
+                                            neg[b:], cfg)
+            x_student += [x_strong, x_mix]
 
-            # One student pass and one backward over [weak; strong; mix],
-            # each loss on its rows.
-            cache = nn.forward(student, np.concatenate(x_student))
-            logits = cache.logits
-            l_i, dl_w = loss_identified(logits[:b], values[batch_idx],
-                                        known_t[:b], spec.task, class_weights)
+        # One student pass and one backward over the student rows, each
+        # loss on its rows.
+        cache = nn.forward(student, np.concatenate(x_student))
+        logits = cache.logits
+        l_i, dl_w = loss_identified(logits[:b], values[batch_idx],
+                                    known[batch_idx], spec.task,
+                                    class_weights)
+        dl = [dl_w]
+        l_u = l_ude = 0.0
+        if use_pseudo:
             l_u, dl_s = loss_unknown(logits[b:2 * b], hits, spec.task,
                                      negative)
-            dl = [dl_w, dl_s]
-            if mixing and len(x_mix) > 0:
-                l_ude, dl_u = loss_ude(logits[2 * b:], y_mix, spec.task, valid)
-                dl.append(cfg.ude_weight * dl_u)
-            dlogits = np.concatenate(dl)
-        grads = nn.backward(student, cache, dlogits)
+            l_ude, dl_u = loss_ude(logits[2 * b:], y_mix, spec.task, valid)
+            dl += [dl_s, cfg.ude_weight * dl_u]
+        grads = nn.backward(student, cache, np.concatenate(dl))
 
         total = l_i + l_u + cfg.ude_weight * l_ude
         if not np.isfinite(total):

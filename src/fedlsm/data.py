@@ -148,8 +148,8 @@ class AugmentConfig:
 
     def validate(self, path: str = "client.augment") -> None:
         for name in ("sigma_weak", "sigma_strong", "scale_jitter"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{path}: {name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{path}: {name} must be finite and >= 0")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ConfigError(f"{path}: need 0 <= drop_prob < 1")
 

@@ -62,9 +62,15 @@ class ModelParams:
     flat: np.ndarray
     dims: tuple[int, ...]
     num_classes: int
-    # (layers, proxies, proxy_bias) views, made on first use
-    _views: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    layers: list = field(init=False, repr=False, compare=False)
+    proxies: np.ndarray = field(init=False, repr=False, compare=False)
+    proxy_bias: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = [self.flat[start:stop].reshape(shape) for start, stop, shape
+             in _layout(self.dims, self.num_classes)]
+        self.layers = list(zip(v[:-2:2], v[1:-2:2]))
+        self.proxies, self.proxy_bias = v[-2:]
 
     @classmethod
     def from_arrays(cls, layers, proxies, proxy_bias) -> "ModelParams":
@@ -78,25 +84,6 @@ class ModelParams:
     def like(self, flat: np.ndarray) -> "ModelParams":
         """Another vector with this model's layout."""
         return ModelParams(flat, self.dims, self.num_classes)
-
-    def _split(self) -> tuple:
-        flat = self.flat
-        v = [flat[start:stop].reshape(shape) for start, stop, shape
-             in _layout(self.dims, self.num_classes)]
-        self._views = (list(zip(v[:-2:2], v[1:-2:2])), v[-2], v[-1])
-        return self._views
-
-    @property
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return (self._views or self._split())[0]
-
-    @property
-    def proxies(self) -> np.ndarray:
-        return (self._views or self._split())[1]
-
-    @property
-    def proxy_bias(self) -> np.ndarray:
-        return (self._views or self._split())[2]
 
 
 @dataclass
@@ -247,17 +234,24 @@ def ema_update(teacher: ModelParams, student: ModelParams,
     return teacher.like(decay * teacher.flat + (1.0 - decay) * student.flat)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) of a 1-D or 2-D array, faster on short
+    rows.  A zero max may differ in sign on a row wider than 8 holding both
+    zeros; softmax and log_softmax cannot see it (that row's sum is >= 2)."""
+    return np.ascontiguousarray(x.T).max(axis=0)[..., None]
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; accepts 1-D or 2-D input."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 

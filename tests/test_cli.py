@@ -310,6 +310,24 @@ def test_run_rejects_bad_augment_settings(tiny_config, tmp_path, capsys,
     assert err.startswith("error: client.augment: ") and field in err
 
 
+@pytest.mark.parametrize("setting", ["client.lr=NaN",
+                                     "client.lr=Infinity",
+                                     "client.ude_weight=NaN",
+                                     "client.frac_h=NaN",
+                                     "client.augment.sigma_weak=Infinity",
+                                     "client.augment.scale_jitter=Infinity"])
+def test_run_rejects_non_finite_client_settings(tiny_config, tmp_path, capsys,
+                                                setting):
+    key = setting.split("=")[0]
+    path, _, field = key.rpartition(".")
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--set", setting, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and field in err
+    assert not out.exists()  # refused before anything trained or was written
+
+
 @pytest.mark.parametrize("settings", [["federation.n_test=1"],
                                       ["federation.n_test=-1"],
                                       ["federation.n_val=-1"],

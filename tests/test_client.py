@@ -20,7 +20,7 @@ from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
                            ude_candidates)
 from fedlsm.data import (AugmentConfig, ClientData, ClientSpec,
                          FederationConfig, augment_strong_batch,
-                         augment_weak_batch, gen_federation)
+                         augment_weak_batch, gen_federation, unmask_labels)
 from fedlsm.errors import ConfigError, NumericError
 from fedlsm.server import run_federation
 from fedlsm.uncertainty import UncertaintyPartition, partition
@@ -538,6 +538,15 @@ def test_client_config_validation():
                                          ("ude_batch_size", -1),
                                          ("lr_decay", -0.5)])
 def test_client_config_rejects_bad_mixup_and_schedule(field, value):
+    with pytest.raises(ConfigError, match=f"^client: .*{field}"):
+        ClientConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    *((f, v) for f in ("lr", "lr_decay", "ude_weight", "mixup_alpha")
+      for v in (math.nan, math.inf)),
+    ("frac_l", math.nan), ("frac_h", math.nan)])
+def test_client_config_rejects_non_finite_settings(field, value):
     with pytest.raises(ConfigError, match=f"^client: .*{field}"):
         ClientConfig(**{field: value}).validate()
 
@@ -1092,6 +1101,34 @@ def test_fused_step_matches_parent_loop(monkeypatch, task, seed, ude_weight,
 
 
 @pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("batch_size", [16, 64])  # 64 > every labeled pool
+@pytest.mark.parametrize("unmask", [False, True])
+def test_fedavg_step_matches_parent_loop(monkeypatch, task, seed, batch_size,
+                                         unmask):
+    fed, params = equivalence_setup(task, seed)
+    cfg = ClientConfig(local_iters=6, batch_size=batch_size, lr=3e-3)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: made.append(default_rng(*a)) or made[-1])
+    for k, (spec, data) in enumerate(zip(fed.specs, fed.clients)):
+        if unmask:
+            data = unmask_labels(data.x, fed.truth[k])
+        want = reference_local_train(params, data, spec, cfg, round_idx=1,
+                                     seed=seed, use_pseudo=False)
+        got = local_train(params, data, spec, cfg, round_idx=1, seed=seed,
+                          use_pseudo=False)
+        assert len(made) == 2
+        assert made[0].bit_generator.state == made[1].bit_generator.state
+        made.clear()
+        assert got.params.flat.tobytes() == want.params.flat.tobytes()
+        assert got.edd.tobytes() == want.edd.tobytes()
+        assert got.stats == want.stats
+        assert got.stats["loss_identified"] > 0.0
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
 @pytest.mark.parametrize("ude_weight", [0.1, 0.0])
 def test_local_train_makes_one_teacher_and_one_student_pass_per_step(
         monkeypatch, task, ude_weight):
@@ -1116,9 +1153,10 @@ def test_local_train_makes_one_teacher_and_one_student_pass_per_step(
     local_train(params, fed.clients[0], fed.specs[0], cfg, round_idx=0,
                 seed=0)
     steps = cfg.local_iters
-    # one partition pass, then a teacher and a student pass per step
+    # one partition pass, then a teacher and a student pass per step; the
+    # MixUp batch is built every step, empty when ude_weight is 0
     assert counts == {"forward": 1 + 2 * steps, "backward": steps}
-    assert inside_ude == ([0] * steps if ude_weight > 0 else [])
+    assert inside_ude == [0] * steps
 
 
 def parent_masked_bce(logits: np.ndarray, targets: np.ndarray,

@@ -271,3 +271,11 @@ def test_augment_config_validation(field, value):
     with pytest.raises(ConfigError, match=f"^client.augment: .*{field}"):
         AugmentConfig(**{field: value}).validate()
     AugmentConfig(**{field: 0.0}).validate()
+
+
+@pytest.mark.parametrize("field", ["sigma_weak", "sigma_strong",
+                                   "scale_jitter"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_augment_config_rejects_non_finite_scales(field, value):
+    with pytest.raises(ConfigError, match=f"^client.augment: {field}"):
+        AugmentConfig(**{field: value}).validate()

@@ -373,6 +373,49 @@ def test_sigmoid_matches_masked_reference_exactly():
     assert got_2d.tobytes() == want[:6000].tobytes()
 
 
+def reference_softmax(logits):
+    """softmax with the last-axis row max, verbatim."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_log_softmax(logits):
+    """log_softmax with the last-axis row max, verbatim."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+ROW_MAX_EDGES = [0.0, -0.0, 1.0, -1.0, 750.0, -750.0, np.inf, -np.inf,
+                 np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_max_and_softmax_match_last_axis_max_bits(data):
+    n, m = data.draw(st.integers(0, 16)), data.draw(st.integers(1, 12))
+    # few distinct values, so rows hold ties, signed zeros, infinities
+    # and NaNs in every order
+    values = data.draw(st.lists(st.one_of(st.sampled_from(ROW_MAX_EDGES),
+                                          st.floats(-5.0, 5.0, width=16)),
+                                min_size=n * m, max_size=n * m))
+    logits = np.array(values, dtype=np.float64).reshape(n, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in (logits, *logits[:1]):  # 2-D, then one 1-D row
+            # equal maxima; a zero maximum may differ in sign on a row
+            # wider than 8 that holds both zeros, so compare values there
+            assert np.array_equal(nn._row_max(x),
+                                  x.max(axis=-1, keepdims=True),
+                                  equal_nan=True)
+            if m <= 8:
+                assert nn._row_max(x).tobytes() == \
+                    x.max(axis=-1, keepdims=True).tobytes()
+            assert nn.softmax(x).tobytes() == reference_softmax(x).tobytes()
+            assert nn.log_softmax(x).tobytes() == \
+                reference_log_softmax(x).tobytes()
+
+
 # ------------------------------------------------ checkpoint reader fuzz
 
 def _checkpoint_bytes(dims, m, seed):

@@ -6,11 +6,13 @@ The parent tree is unpacked from `git archive <rev>` into a temporary
 directory; the change side is this checkout's working tree.  Both run
 `fedlsm run --checkpoint` with the benchmark's federation, client and
 round settings (bench/workloads.py) for seeds 0 and 1, on both tasks and
-in all three modes.  Every output file except meta.json is compared
-byte for byte.  For a JSON or JSONL file that differs, each differing
-field path is printed with its largest relative difference over lines,
-clients and rounds ("differs" for a missing or non-numeric field).
-Exits 1 on any difference.
+in every arm the acceptance gates train: the three modes, then fedlsm
+without MixUp (client.ude_weight=0) and with sample-count proxies
+(proxy_aggregation=fedavg).  Every output file except meta.json is
+compared byte for byte.  For a JSON or JSONL file that differs, each
+differing field path is printed with its largest relative difference
+over lines, clients and rounds ("differs" for a missing or non-numeric
+field).  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [0, 1]
 TASKS = ("single", "multi")
-MODES = ("fedlsm", "fedavg_masked", "fedavg_full")
+# arm name -> its --set overrides
+ARMS = {"fedlsm": ["mode=fedlsm"],
+        "fedavg_masked": ["mode=fedavg_masked"],
+        "fedavg_full": ["mode=fedavg_full"],
+        "no_mix": ["mode=fedlsm", "client.ude_weight=0"],
+        "no_weighted_proxies": ["mode=fedlsm", "proxy_aggregation=fedavg"]}
 
 
 def _load(name: str, path: Path):
@@ -104,17 +111,18 @@ def jsonl_diffs(text_a: str, text_b: str) -> dict[str, float]:
 
 
 def run_all(trees: dict[str, Path], out: Path, config: Path) -> None:
-    """Every (task, mode) run on every tree, the trees side by side."""
+    """Every (task, arm) run on every tree, the trees side by side."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     for task in TASKS:
-        for mode in MODES:
+        for arm, sets in ARMS.items():
             procs = []
             for side, tree in trees.items():
                 cmd = [sys.executable, "-m", "fedlsm.cli", "run",
-                       "--config", str(config), "--set", f"mode={mode}",
+                       "--config", str(config),
+                       *(arg for s in sets for arg in ("--set", s)),
                        "--set", f"federation.task={task}", "--output-dir",
-                       str(out / side / f"{task}_{mode}"), "--checkpoint",
+                       str(out / side / f"{task}_{arm}"), "--checkpoint",
                        "--quiet"]
                 procs.append((side, subprocess.Popen(
                     cmd, cwd=tree, env=dict(env, PYTHONPATH=str(tree / "src")),
@@ -122,9 +130,9 @@ def run_all(trees: dict[str, Path], out: Path, config: Path) -> None:
             for side, proc in procs:
                 _, err = proc.communicate()
                 if proc.returncode != 0:
-                    raise RuntimeError(f"{side} {task} {mode}: exit "
+                    raise RuntimeError(f"{side} {task} {arm}: exit "
                                        f"{proc.returncode}\n{err}")
-            print(f"ran {task} {mode}", flush=True)
+            print(f"ran {task} {arm}", flush=True)
 
 
 def compare_trees(a: Path, b: Path) -> int:
