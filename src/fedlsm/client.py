@@ -27,7 +27,7 @@ import numpy as np
 
 from . import nn
 from .data import (AugmentConfig, ClientData, ClientSpec,
-                   augment_strong_batch, augment_weak_batch)
+                   augment_strong_batch, augment_weak_batch, check_task)
 from .errors import ConfigError, NumericError
 from .uncertainty import UncertaintyPartition, partition
 
@@ -235,6 +235,7 @@ def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
     BCE over the known (sample, class) pairs.  Unlabeled rows and unknown
     pairs carry exactly zero gradient.
     """
+    check_task(task)
     if task == "single":
         return _softmax_ce(logits, values, np.count_nonzero(known.any(axis=1)))
     return _masked_bce(logits, values == 1.0, known, np.count_nonzero(known),
@@ -251,6 +252,7 @@ def loss_unknown(logits: np.ndarray, hits: np.ndarray, task: str,
     `negative` verdicts pull log(1 - sigma), normalized by the batch size.
     Abstaining entries contribute nothing.
     """
+    check_task(task)
     if task == "single":
         return _softmax_ce(logits, hits, np.count_nonzero(hits))
     return _masked_bce(logits, hits, hits | negative, len(logits))
@@ -263,6 +265,7 @@ def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
     Multi-label entries where either MixUp member abstained are excluded
     via `valid`.
     """
+    check_task(task)
     if task == "single":
         return _softmax_ce(logits, targets, len(logits))
     mask = np.ones(np.shape(targets), dtype=bool) if valid is None else valid

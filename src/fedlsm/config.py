@@ -59,71 +59,50 @@ _SCALAR = {int: "an integer", float: "a number", str: "a string",
            bool: "a boolean"}
 
 
-def _get(d: dict, key: str, kind, path: str, default):
-    if key not in d:
-        return default
-    v = d[key]
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if kind is not bool and isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected {_SCALAR[kind]}")
-    if not isinstance(v, kind):
-        raise ConfigError(f"{path}.{key}: expected {_SCALAR[kind]}")
-    return v
+def _build(cls, d: dict, path: str = ""):
+    """Build the config dataclass cls from the dict d, strictly.
 
-
-def _int_list(d: dict, key: str, path: str, default):
-    if key not in d:
-        return list(default)
-    v = d[key]
-    if not isinstance(v, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in v):
-        raise ConfigError(f"{path}.{key}: expected a list of integers")
-    return list(v)
-
-
-def _check_keys(d: dict, allowed, path: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for k in d:
-        if k not in allowed:
-            raise ConfigError(f"{path}.{k}: unknown key")
-
-
-def _build_simple(dc_cls, d: dict, path: str):
-    """Build a dataclass of scalar fields from a dict, strictly.
-
-    A field whose default is itself a dataclass is built from the nested
-    object under the same rules.
+    Each field's default decides what it takes: a dataclass default builds
+    its section from the nested object, a list default takes a list of
+    integers, a None default passes the value on for validate() to judge,
+    and any other default fixes the scalar type (an integer also counts as
+    a number).  Top-level keys read config.<key>; a section's keys read
+    <section>.<key>.
     """
-    proto = dc_cls()
-    names = [f.name for f in fields(dc_cls)]
-    _check_keys(d, names, path)
-    kwargs = {}
+    where = path or "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    names = [f.name for f in fields(cls)]
+    for k in d:
+        if k not in names:
+            raise ConfigError(f"{where}.{k}: unknown key")
+    proto, kwargs = cls(), {}
     for name in names:
         default = getattr(proto, name)
+        if name not in d or default is None:
+            kwargs[name] = d.get(name, default)
+            continue
+        v, key = d[name], f"{where}.{name}"
         if is_dataclass(default):
-            kwargs[name] = _build_simple(type(default), d.get(name, {}),
-                                         f"{path}.{name}")
+            v = _build(type(default), v, f"{path}.{name}" if path else name)
+        elif isinstance(default, list):
+            if not isinstance(v, list) or any(
+                    not isinstance(x, int) or isinstance(x, bool) for x in v):
+                raise ConfigError(f"{key}: expected a list of integers")
+            v = list(v)
         else:
-            kwargs[name] = _get(d, name, type(default), path, default)
-    return dc_cls(**kwargs)
+            kind = type(default)
+            if kind is float and isinstance(v, int) and not isinstance(v, bool):
+                v = float(v)
+            if not isinstance(v, kind) or (isinstance(v, bool)
+                                           and kind is not bool):
+                raise ConfigError(f"{key}: expected {_SCALAR[kind]}")
+        kwargs[name] = v
+    return cls(**kwargs)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _check_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
-    proto = ExperimentConfig()
-    cfg = ExperimentConfig(
-        version=_get(d, "version", int, "config", proto.version),
-        mode=_get(d, "mode", str, "config", proto.mode),
-        rounds=_get(d, "rounds", int, "config", proto.rounds),
-        seeds=_int_list(d, "seeds", "config", proto.seeds),
-        hidden_dims=_int_list(d, "hidden_dims", "config", proto.hidden_dims),
-        proxy_aggregation=d.get("proxy_aggregation", proto.proxy_aggregation),
-        federation=_build_simple(FederationConfig, d.get("federation", {}),
-                                 "federation"),
-        client=_build_simple(ClientConfig, d.get("client", {}), "client"),
-    )
+    cfg = _build(ExperimentConfig, d)
     cfg.validate()
     return cfg
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 
 COVERAGE_ATTEMPTS = 1000
+TASKS = ("single", "multi")
 
 # Cephes ndtri, the rational approximation scipy.special.ndtri wraps, with
 # its coefficients, branch points and evaluation order, so the multi-label
@@ -91,6 +92,13 @@ def ndtri(p: float) -> np.float64:
     return np.float64(x if upper else -x)
 
 
+def check_task(task: str, where: str = "task:") -> None:
+    """Raise a ConfigError naming `task` unless it is one of TASKS."""
+    if task not in TASKS:
+        raise ConfigError(f"{where} must be 'single' or 'multi', "
+                          f"got {task!r}")
+
+
 @dataclass
 class ClientData:
     """One client's training view, one row per sample.
@@ -124,12 +132,10 @@ class ClientSpec:
     client_id: int
     identified: tuple[int, ...]
     unknown: tuple[int, ...]
-    task: str  # the federation's task, "single" or "multi"
+    task: str  # the federation's task, one of TASKS
 
     def __post_init__(self):
-        if self.task not in ("single", "multi"):
-            raise ConfigError(f"client {self.client_id}: task must be "
-                              f"'single' or 'multi', got {self.task!r}")
+        check_task(self.task, f"client {self.client_id}: task")
 
 
 @dataclass
@@ -160,7 +166,7 @@ class FederationConfig:
     n_classes: int = 7
     classes_per_client: int = 3
     feature_dim: int = 16
-    task: str = "single"  # "single" or "multi"
+    task: str = "single"  # one of TASKS
     samples_per_client: int = 500
     n_val: int = 500
     n_test: int = 1000
@@ -178,9 +184,7 @@ class FederationConfig:
             raise ConfigError(
                 f"{path}.classes_per_client: need 1..{self.n_classes}, "
                 f"got {self.classes_per_client}")
-        if self.task not in ("single", "multi"):
-            raise ConfigError(f"{path}.task: must be 'single' or 'multi', "
-                              f"got {self.task!r}")
+        check_task(self.task, f"{path}.task:")
         if self.feature_dim < 1:
             raise ConfigError(f"{path}.feature_dim: need >= 1")
         if self.samples_per_client < 1:

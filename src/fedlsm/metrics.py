@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_task
 from .errors import ConfigError
 
 
@@ -62,11 +63,12 @@ def macro_metrics(probs: np.ndarray, true_labels: np.ndarray,
     0.5.  Macro averages run over classes with at least one positive and
     one negative test instance; 0/0 ratios count as 0.
     """
+    check_task(task)
     probs = np.asarray(probs, dtype=np.float64)
     true_labels = np.asarray(true_labels, dtype=np.float64)
     if probs.size == 0:
         raise ConfigError("empty test set")
-    n, m = probs.shape
+    n, _ = probs.shape
 
     if task == "single":
         pred_class = probs.argmax(axis=1)
@@ -79,34 +81,29 @@ def macro_metrics(probs: np.ndarray, true_labels: np.ndarray,
         # Overall accuracy across all (sample, class) binary decisions.
         accuracy = float((predicted == true_labels).mean())
 
-    per_class_auc: list = []
-    f1s, precisions, recalls, aucs = [], [], [], []
-    for c in range(m):
-        y = true_labels[:, c]
-        if y.min() == y.max():  # single-class column: metrics undefined
-            per_class_auc.append(None)
-            continue
-        aucs.append(roc_auc(probs[:, c], y))
-        per_class_auc.append(aucs[-1])
-        p = predicted[:, c]
-        tp = float(((p == 1) & (y == 1)).sum())
-        fp = float(((p == 1) & (y == 0)).sum())
-        fn = float(((p == 0) & (y == 1)).sum())
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
-
-    if not aucs:
+    # A single-class column leaves every metric of its class undefined.
+    scorable = true_labels.min(axis=0) != true_labels.max(axis=0)
+    per_class_auc = [roc_auc(probs[:, c], true_labels[:, c]) if ok else None
+                     for c, ok in enumerate(scorable)]
+    if not scorable.any():
         raise UndefinedMetricError("no class has both positives and negatives")
+    p, y = predicted[:, scorable] == 1, true_labels[:, scorable]
+    tp = (p & (y == 1)).sum(axis=0).astype(np.float64)
+    fp = (p & (y == 0)).sum(axis=0)
+    fn = (~p & (y == 1)).sum(axis=0)
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    f1 = _ratio(2 * precision * recall, precision + recall)
     return EvalResult(
         per_class_auc=per_class_auc,
-        macro_auc=float(np.mean(aucs)),
+        macro_auc=float(np.mean([a for a in per_class_auc if a is not None])),
         accuracy=accuracy,
-        macro_f1=float(np.mean(f1s)),
-        macro_precision=float(np.mean(precisions)),
-        macro_recall=float(np.mean(recalls)),
+        macro_f1=float(np.mean(f1)),
+        macro_precision=float(np.mean(precision)),
+        macro_recall=float(np.mean(recall)),
     )
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, with 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)

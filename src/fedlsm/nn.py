@@ -198,8 +198,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr: float) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update with ADAM_BETA1/ADAM_BETA2/ADAM_EPS.
     Returns fresh params and state."""
-    if lr <= 0:
-        raise ConfigError(f"lr must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
     g = grads.flat
     if not np.isfinite(g).all():
         raise NumericError(f"non-finite gradient in {_non_finite_layer(grads)}")

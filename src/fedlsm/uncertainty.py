@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .data import check_task
 from .errors import ConfigError
 
 
@@ -66,6 +67,7 @@ def score_dataset(xs: np.ndarray, params: nn.ModelParams, task: str,
     Multi-label rows of a client with no unknown class all score 0, so
     the split falls back to index order.
     """
+    check_task(task)
     logits = nn.forward(params, xs).logits
     if task == "single":
         return _entropy_rows(nn.softmax(logits))

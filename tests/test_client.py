@@ -189,6 +189,19 @@ def test_loss_ude_multi_respects_validity():
     assert np.allclose(dlogits, [[0.1, 0.0]])
 
 
+@pytest.mark.parametrize("task", ["singel", "Multi", ""])
+def test_losses_reject_an_unknown_task(task):
+    # A misspelled task must not fall through to the multi-label BCE.
+    logits, known = np.zeros((2, 3)), np.ones((2, 3), dtype=bool)
+    calls = [lambda: loss_identified(logits, np.eye(3)[:2], known, task),
+             lambda: loss_unknown(logits, np.eye(3)[:2] == 1, task, ~known),
+             lambda: loss_ude(logits, np.full((2, 3), 1 / 3), task, known)]
+    for call in calls:
+        with pytest.raises(ConfigError, match=f"task: must be 'single' or "
+                                              f"'multi', got {task!r}"):
+            call()
+
+
 @pytest.mark.parametrize("task", ["single", "multi"])
 def test_loss_gradients_match_finite_differences(task):
     rng = np.random.default_rng(5)

@@ -1,16 +1,22 @@
 """Config parsing, validation paths, overrides, fingerprints."""
 
+import copy
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedlsm.config import (apply_overrides, config_from_dict, data_fingerprint,
-                           load_config)
-from fedlsm.data import gen_federation
+from fedlsm.client import ClientConfig
+from fedlsm.config import (ExperimentConfig, apply_overrides, config_from_dict,
+                           data_fingerprint, load_config)
+from fedlsm.data import AugmentConfig, FederationConfig, gen_federation
 from fedlsm.errors import ConfigError, ParseError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def minimal():
@@ -164,3 +170,208 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(json.dumps({"version": 1, "rounds": 7}))
     cfg = config_from_dict(load_config(str(path)))
     assert cfg.rounds == 7
+
+
+def test_readme_config_block_lists_the_defaults():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+    shown = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert shown == asdict(ExperimentConfig())
+
+
+# ---------------------------------------- one builder vs the parent parser
+#
+# reference_config_from_dict is the parser as it was before one builder
+# walked every config dataclass: config_from_dict listed the top-level
+# fields by hand beside _build_simple.  It and its helpers are kept
+# verbatim.  The builder must accept the same dicts as the same config
+# and reject the rest with the same exception and message.
+
+_SCALAR = {int: "an integer", float: "a number", str: "a string",
+           bool: "a boolean"}
+
+
+def _get(d: dict, key: str, kind, path: str, default):
+    if key not in d:
+        return default
+    v = d[key]
+    if kind is float and isinstance(v, int) and not isinstance(v, bool):
+        v = float(v)
+    if kind is not bool and isinstance(v, bool):
+        raise ConfigError(f"{path}.{key}: expected {_SCALAR[kind]}")
+    if not isinstance(v, kind):
+        raise ConfigError(f"{path}.{key}: expected {_SCALAR[kind]}")
+    return v
+
+
+def _int_list(d: dict, key: str, path: str, default):
+    if key not in d:
+        return list(default)
+    v = d[key]
+    if not isinstance(v, list) or any(
+            not isinstance(x, int) or isinstance(x, bool) for x in v):
+        raise ConfigError(f"{path}.{key}: expected a list of integers")
+    return list(v)
+
+
+def _check_keys(d: dict, allowed, path: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for k in d:
+        if k not in allowed:
+            raise ConfigError(f"{path}.{k}: unknown key")
+
+
+def _build_simple(dc_cls, d: dict, path: str):
+    """Build a dataclass of scalar fields from a dict, strictly.
+
+    A field whose default is itself a dataclass is built from the nested
+    object under the same rules.
+    """
+    proto = dc_cls()
+    names = [f.name for f in fields(dc_cls)]
+    _check_keys(d, names, path)
+    kwargs = {}
+    for name in names:
+        default = getattr(proto, name)
+        if is_dataclass(default):
+            kwargs[name] = _build_simple(type(default), d.get(name, {}),
+                                         f"{path}.{name}")
+        else:
+            kwargs[name] = _get(d, name, type(default), path, default)
+    return dc_cls(**kwargs)
+
+
+def reference_config_from_dict(d: dict) -> ExperimentConfig:
+    _check_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
+    proto = ExperimentConfig()
+    cfg = ExperimentConfig(
+        version=_get(d, "version", int, "config", proto.version),
+        mode=_get(d, "mode", str, "config", proto.mode),
+        rounds=_get(d, "rounds", int, "config", proto.rounds),
+        seeds=_int_list(d, "seeds", "config", proto.seeds),
+        hidden_dims=_int_list(d, "hidden_dims", "config", proto.hidden_dims),
+        proxy_aggregation=d.get("proxy_aggregation", proto.proxy_aggregation),
+        federation=_build_simple(FederationConfig, d.get("federation", {}),
+                                 "federation"),
+        client=_build_simple(ClientConfig, d.get("client", {}), "client"),
+    )
+    cfg.validate()
+    return cfg
+
+
+def _outcome(parse, d):
+    """(repr of the parsed config as a dict) or (exception type, message);
+    repr tells 1 from 1.0."""
+    try:
+        return repr(asdict(parse(copy.deepcopy(d))))
+    except Exception as e:  # noqa: BLE001 - any exception must match
+        return type(e), str(e)
+
+
+# Any JSON-shaped value, including the wrong kind for every field.
+_junk = st.none() | st.booleans() | st.integers(-3, 2**1030) | st.floats() \
+    | st.sampled_from(["", "x", "fedlsm", "fedavg_full", "single", "multi",
+                       "awpa", "fedavg"]) \
+    | st.lists(st.integers(-3, 70) | st.booleans() | st.floats(-1, 2),
+               max_size=3) \
+    | st.dictionaries(st.sampled_from(["tau", "bogus"]),
+                      st.integers(0, 2) | st.floats(0, 1), max_size=2)
+
+
+def _own(default):
+    """A value of the field's own kind, often one validate() accepts."""
+    if default is None:
+        return st.sampled_from(["awpa", "fedavg", "fedlsm"])
+    if isinstance(default, list):
+        return st.lists(st.integers(-1, 70), max_size=4)
+    if isinstance(default, int):
+        return st.integers(-1, 2 * default + 2)
+    if isinstance(default, float):
+        # an integer counts as a number
+        return st.floats(0.8 * default, default) | st.integers(0, 2)
+    return st.sampled_from(["fedlsm", "fedavg_masked", "fedavg_full",
+                            "single", "multi", "other"])
+
+
+def _clean(cls):
+    """A dict of some of cls's fields, each its default or its own kind."""
+    proto = cls()
+    optional = {}
+    for f in fields(cls):
+        default = getattr(proto, f.name)
+        optional[f.name] = _clean(type(default)) if is_dataclass(default) \
+            else st.just(default) | _own(default)
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+_SECTIONS = [((), ExperimentConfig), (("federation",), FederationConfig),
+             (("client",), ClientConfig),
+             (("client", "augment"), AugmentConfig)]
+
+
+@st.composite
+def _configs(draw):
+    """A clean config dict with up to three faults: a junk field value, an
+    unknown key inserted anywhere in a section, or a junk section; or
+    junk in place of the whole config."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_junk)
+    d = draw(_clean(ExperimentConfig))
+    for _ in range(draw(st.integers(0, 3))):
+        path, cls = draw(st.sampled_from(_SECTIONS))
+        parent, node = None, d
+        for part in path:
+            if not isinstance(node, dict):
+                break
+            parent, node = node, node.setdefault(part, {})
+        if not isinstance(node, dict):
+            continue
+        fault = draw(st.sampled_from(["value", "key", "section"]))
+        if fault == "value":
+            node[draw(st.sampled_from([f.name for f in fields(cls)]))] = \
+                draw(_junk)
+        elif fault == "key":
+            items = list(node.items())
+            items.insert(draw(st.integers(0, len(items))),
+                         (draw(st.sampled_from(["bogus", "task", "tau"])), 1))
+            node.clear()
+            node.update(items)
+        elif parent is not None:
+            parent[path[-1]] = draw(_junk)
+    return d
+
+
+@settings(max_examples=600, deadline=None)
+@given(d=_configs())
+def test_builder_matches_the_parent_parser(d):
+    assert _outcome(config_from_dict, d) == \
+        _outcome(reference_config_from_dict, d)
+
+
+@pytest.mark.parametrize("d, message", [
+    ([], "config: expected an object"),
+    ({"bogus": 1}, "config.bogus: unknown key"),
+    ({"rounds": True}, "config.rounds: expected an integer"),
+    ({"rounds": 3.0}, "config.rounds: expected an integer"),
+    ({"mode": 1}, "config.mode: expected a string"),
+    ({"seeds": [0, True]}, "config.seeds: expected a list of integers"),
+    ({"hidden_dims": 32}, "config.hidden_dims: expected a list of integers"),
+    ({"federation": []}, "federation: expected an object"),
+    ({"federation": {"task": None}}, "federation.task: expected a string"),
+    ({"client": {"tau": "high"}}, "client.tau: expected a number"),
+    ({"client": {"local_iters": False}},
+     "client.local_iters: expected an integer"),
+    ({"client": {"augment": 0.1}}, "client.augment: expected an object"),
+    ({"client": {"augment": {"drop_prob": True}}},
+     "client.augment.drop_prob: expected a number"),
+    ({"client": {"augment": {"x": 1}}}, "client.augment.x: unknown key"),
+    ({"proxy_aggregation": 3}, "proxy_aggregation: must be null, 'awpa' "
+                               "or 'fedavg'"),
+])
+def test_parse_errors_keep_their_paths(d, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert str(err.value) == message
+    assert _outcome(reference_config_from_dict, d) == (ConfigError, message)
+

@@ -1,11 +1,16 @@
 """Evaluation metrics against hand-computed and brute-force oracles."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from fedlsm.errors import ConfigError
-from fedlsm.metrics import UndefinedMetricError, macro_metrics, roc_auc
+from fedlsm.metrics import (EvalResult, UndefinedMetricError, macro_metrics,
+                            roc_auc)
 
 
 def brute_force_auc(scores, labels):
@@ -130,3 +135,125 @@ def test_no_valid_class_raises():
 def test_empty_input_raises():
     with pytest.raises(ConfigError):
         macro_metrics(np.zeros((0, 3)), np.zeros((0, 3)), "single")
+
+
+@pytest.mark.parametrize("task", ["singel", "Single", "", None])
+def test_macro_metrics_rejects_an_unknown_task(task):
+    probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8],
+                      [0.6, 0.3, 0.1]])
+    truth = np.eye(3)[[0, 1, 2, 1]]
+    with pytest.raises(ConfigError, match=f"task: must be 'single' or "
+                                          f"'multi', got {task!r}"):
+        macro_metrics(probs, truth, task)
+
+
+# --------------------------------------- whole-array F1 vs the parent loop
+#
+# reference_macro_metrics is macro_metrics as it was before precision,
+# recall and F1 became whole-array expressions: one Python loop over the
+# classes.  It is kept verbatim; the array form must give the same bits.
+
+def reference_macro_metrics(probs: np.ndarray, true_labels: np.ndarray,
+                            task: str) -> EvalResult:
+    """Macro AUC / F1 / precision / recall plus accuracy.
+
+    Single-label predicts by argmax; multi-label thresholds each class at
+    0.5.  Macro averages run over classes with at least one positive and
+    one negative test instance; 0/0 ratios count as 0.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    true_labels = np.asarray(true_labels, dtype=np.float64)
+    if probs.size == 0:
+        raise ConfigError("empty test set")
+    n, m = probs.shape
+
+    if task == "single":
+        pred_class = probs.argmax(axis=1)
+        true_class = true_labels.argmax(axis=1)
+        predicted = np.zeros_like(probs)
+        predicted[np.arange(n), pred_class] = 1.0
+        accuracy = float((pred_class == true_class).mean())
+    else:
+        predicted = (probs >= 0.5).astype(np.float64)
+        # Overall accuracy across all (sample, class) binary decisions.
+        accuracy = float((predicted == true_labels).mean())
+
+    per_class_auc: list = []
+    f1s, precisions, recalls, aucs = [], [], [], []
+    for c in range(m):
+        y = true_labels[:, c]
+        if y.min() == y.max():  # single-class column: metrics undefined
+            per_class_auc.append(None)
+            continue
+        aucs.append(roc_auc(probs[:, c], y))
+        per_class_auc.append(aucs[-1])
+        p = predicted[:, c]
+        tp = float(((p == 1) & (y == 1)).sum())
+        fp = float(((p == 1) & (y == 0)).sum())
+        fn = float(((p == 0) & (y == 1)).sum())
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = (2 * precision * recall / (precision + recall)
+              if precision + recall > 0 else 0.0)
+        precisions.append(precision)
+        recalls.append(recall)
+        f1s.append(f1)
+
+    if not aucs:
+        raise UndefinedMetricError("no class has both positives and negatives")
+    return EvalResult(
+        per_class_auc=per_class_auc,
+        macro_auc=float(np.mean(aucs)),
+        accuracy=accuracy,
+        macro_f1=float(np.mean(f1s)),
+        macro_precision=float(np.mean(precisions)),
+        macro_recall=float(np.mean(recalls)),
+    )
+
+
+def _metric_bits(fn, probs, truth, task):
+    """Every field of the result as (type, bytes), or (exception type,
+    message)."""
+    try:
+        res = fn(probs, truth, task)
+    except Exception as e:  # noqa: BLE001 - any exception must match
+        return type(e), str(e)
+    return {k: [None if a is None else (type(a), struct.pack("<d", a))
+                for a in v] if k == "per_class_auc"
+            else (type(v), struct.pack("<d", v))
+            for k, v in res.as_dict().items()}
+
+
+@st.composite
+def _tables(draw):
+    """(probs, truth, task): ties from rounding, NaN scores, single-class
+    columns and truth entries other than 0 and 1."""
+    task = draw(st.sampled_from(["single", "multi"]))
+    # Past 8 classes NumPy's pairwise sum departs from a running sum.
+    n, m = draw(st.integers(2, 30)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random((n, m))
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:
+        probs = np.round(probs, decimals)
+    if task == "single":
+        probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1e-12)
+        # Sometimes only the first k classes occur.
+        k = m if draw(st.booleans()) else draw(st.integers(1, m))
+        truth = np.eye(m)[rng.integers(0, k, size=n)]
+    else:
+        rate = draw(st.integers(0, 10)) / 10
+        truth = (rng.random((n, m)) < rate) * 1.0
+    if draw(st.integers(0, 9)) == 0:
+        probs[rng.integers(0, n), rng.integers(0, m)] = np.nan
+    if draw(st.integers(0, 4)) == 0:
+        truth[rng.random((n, m)) < 0.2] = draw(st.sampled_from([0.5, np.nan]))
+    return probs, truth, task
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_tables())
+def test_macro_metrics_matches_the_parent_loop_bit_for_bit(case):
+    probs, truth, task = case
+    assert _metric_bits(macro_metrics, probs, truth, task) == \
+        _metric_bits(reference_macro_metrics, probs, truth, task)

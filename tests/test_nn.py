@@ -132,6 +132,14 @@ def test_adam_rejects_non_finite_gradients():
         nn.adam_step(p, g, nn.AdamState.init(p), lr=0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    p = small_net()
+    with pytest.raises(ConfigError, match=f"lr must be finite and > 0, "
+                                          f"got {lr}"):
+        nn.adam_step(p, nn.zeros_like_params(p), nn.AdamState.init(p), lr)
+
+
 def test_ema_oracle_and_endpoints():
     t = nn.ModelParams.from_arrays(layers=[(np.ones((1, 1)), np.ones(1))],
                                    proxies=np.ones((2, 1)),

@@ -226,6 +226,15 @@ def test_evaluate_requires_data():
                  "single")
 
 
+def test_evaluate_rejects_an_unknown_task():
+    params = nn.init_params([4, 6], 3, seed=0)
+    data = EvalSet(x=np.ones((4, 4)), truth=np.eye(3)[[0, 1, 2, 1]])
+    for task in ("Single", "singel"):
+        with pytest.raises(ConfigError, match=f"task: must be 'single' or "
+                                              f"'multi', got {task!r}"):
+            evaluate(params, data, task)
+
+
 def test_multi_label_fedlsm_when_a_client_identifies_every_class():
     fed = gen_federation(FederationConfig(
         n_clients=2, n_classes=3, classes_per_client=3, feature_dim=4,

@@ -9,6 +9,16 @@ from fedlsm.uncertainty import (entropy_multi, entropy_single, partition,
                                 score_dataset)
 
 
+def test_scoring_and_partition_reject_an_unknown_task():
+    params = nn.init_params([2, 4], 3, seed=0)
+    xs = make_dataset(np.arange(12.0).reshape(6, 2))
+    for task in ("singel", "Single"):
+        with pytest.raises(ConfigError, match=f"got {task!r}"):
+            score_dataset(xs, params, task, [1, 2])
+        with pytest.raises(ConfigError, match=f"got {task!r}"):
+            partition(xs, params, task, [1, 2], 0.5, 0.2)
+
+
 def make_dataset(xs):
     """The (n, d) input matrix that partition and score_dataset take."""
     return np.asarray(xs, dtype=np.float64).reshape(len(xs), -1)
