@@ -12,9 +12,11 @@ would otherwise ignore enter through MixUp pairs against confident ones.
 
 A fedlsm step makes one teacher pass, over the batch's weak views and the
 MixUp members' weak views; every step makes one student pass, over
-[weak; strong; MixUp] rows (FedAvg: weak only).  Every loss returns
-(value, dloss/dlogits) on its rows of the student pass, so the step's
-gradient comes from one backward() call.
+[weak; strong; MixUp] rows (FedAvg: weak only).  The pass's link
+(log-softmax or sigmoid) is taken once, and every loss returns (value,
+dloss/dlogits) on its rows of the pass, so the step's gradient comes from
+one backward() call.  A round trains in the student, teacher, gradient and
+Adam buffers it owns, so a step builds no model.
 """
 
 from __future__ import annotations
@@ -180,32 +182,37 @@ def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
                    tau_n)
 
 
-def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int):
+def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int,
+                log_p: np.ndarray | None = None):
     """Softmax cross-entropy against (n, m) target rows, over denom.
 
     Rows may be one-hot or soft; an all-zero row adds exactly nothing.
     The loss is summed row by row in index order, so it does not depend
-    on how NumPy groups a reduction.
+    on how NumPy groups a reduction.  log_p, if given, is
+    nn.log_softmax(logits).
     """
     logits = np.asarray(logits, dtype=np.float64)
     if denom == 0:
         return 0.0, np.zeros_like(logits)
     targets = np.asarray(targets, dtype=np.float64)
-    log_p = nn.log_softmax(logits)
+    if log_p is None:
+        log_p = nn.log_softmax(logits)
     dlogits = np.exp(log_p) * targets.sum(axis=1, keepdims=True) - targets
     loss = 0.0 - np.cumsum((targets * log_p).sum(axis=1))[-1]
     return float(loss / denom), dlogits / denom
 
 
 def _masked_bce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
-                denom: int, pos_weight: np.ndarray | None = None):
+                denom: int, pos_weight: np.ndarray | None = None,
+                probs: np.ndarray | None = None):
     """Binary cross-entropy on the entries where mask is set, over denom.
     Logs via softplus.
 
     Boolean (hard) targets take one softplus per entry, log(1 + e^-x) on
     positives and log(1 + e^x) on negatives: the same bits as the soft
     formula gives at targets 1.0 and 0.0.  pos_weight, for hard targets,
-    scales the positive term per class.
+    scales the positive term per class.  probs, if given, is
+    nn.sigmoid(logits).
     """
     logits = np.asarray(logits, dtype=np.float64)
     if denom == 0:
@@ -217,7 +224,7 @@ def _masked_bce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
         targets = targets.astype(np.float64, copy=False)
         per_entry = -(targets * -np.logaddexp(0.0, -logits)
                       + (1.0 - targets) * -np.logaddexp(0.0, logits))
-    diff = nn.sigmoid(logits) - targets
+    diff = (nn.sigmoid(logits) if probs is None else probs) - targets
     if pos_weight is not None:
         w = np.where(targets, pos_weight, 1.0)
         per_entry *= w
@@ -226,24 +233,29 @@ def _masked_bce(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray,
 
 
 def loss_identified(logits: np.ndarray, values: np.ndarray, known: np.ndarray,
-                    task: str, class_weights: np.ndarray | None = None):
+                    task: str, class_weights: np.ndarray | None = None,
+                    link: np.ndarray | None = None):
     """Supervised loss on known labels -> (loss, dloss/dlogits).
 
     values and known are the batch's (n, m) label values and trust mask;
     values are zero wherever known is not set.  Single-label: mean
     cross-entropy over the labeled samples.  Multi-label: mean weighted
     BCE over the known (sample, class) pairs.  Unlabeled rows and unknown
-    pairs carry exactly zero gradient.
+    pairs carry exactly zero gradient.  link, if given, is the logits'
+    nn.log_softmax (single-label) or nn.sigmoid (multi-label); all three
+    losses take it, so one pass's link can serve each loss's rows.
     """
     check_task(task)
     if task == "single":
-        return _softmax_ce(logits, values, np.count_nonzero(known.any(axis=1)))
+        return _softmax_ce(logits, values, np.count_nonzero(known.any(axis=1)),
+                           link)
     return _masked_bce(logits, values == 1.0, known, np.count_nonzero(known),
-                       class_weights)
+                       class_weights, link)
 
 
 def loss_unknown(logits: np.ndarray, hits: np.ndarray, task: str,
-                 negative: np.ndarray | None = None):
+                 negative: np.ndarray | None = None,
+                 link: np.ndarray | None = None):
     """Pseudo-label loss on strong views -> (loss, dloss/dlogits).
 
     hits is the (n, m) matrix of confident positive pseudo labels.
@@ -254,12 +266,12 @@ def loss_unknown(logits: np.ndarray, hits: np.ndarray, task: str,
     """
     check_task(task)
     if task == "single":
-        return _softmax_ce(logits, hits, np.count_nonzero(hits))
-    return _masked_bce(logits, hits, hits | negative, len(logits))
+        return _softmax_ce(logits, hits, np.count_nonzero(hits), link)
+    return _masked_bce(logits, hits, hits | negative, len(logits), None, link)
 
 
 def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
-             valid: np.ndarray | None = None):
+             valid: np.ndarray | None = None, link: np.ndarray | None = None):
     """Cross-entropy against soft MixUp labels -> (loss, dloss/dlogits).
 
     Multi-label entries where either MixUp member abstained are excluded
@@ -267,9 +279,10 @@ def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
     """
     check_task(task)
     if task == "single":
-        return _softmax_ce(logits, targets, len(logits))
+        return _softmax_ce(logits, targets, len(logits), link)
     mask = np.ones(np.shape(targets), dtype=bool) if valid is None else valid
-    return _masked_bce(logits, targets, mask, np.count_nonzero(mask))
+    return _masked_bce(logits, targets, mask, np.count_nonzero(mask), None,
+                       link)
 
 
 def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
@@ -405,7 +418,11 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     rng = np.random.default_rng([seed, round_idx, spec.client_id])
     lr_t = cfg.lr_at(round_idx)
 
-    student = teacher = global_params
+    # The round's own buffers: the server's model is never written to.
+    student = global_params.like(global_params.flat.copy())
+    teacher = global_params.like(global_params.flat.copy()) \
+        if use_pseudo else None
+    grads = global_params.like(np.empty_like(global_params.flat))
     adam = nn.AdamState.init(student)
     # values are zero where not known; unknown-class counts come at the end
     edd = values.sum(axis=0)
@@ -441,7 +458,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     # verdict inside the window
     tracked = np.zeros((len(data), m), dtype=bool)
 
-    loss_sums = np.zeros(3)
+    sum_i = sum_u = sum_ude = 0.0
     kept_total = 0
     for it in range(cfg.local_iters):
         if pool.size == 0:
@@ -451,8 +468,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         else:
             batch_idx = rng.choice(pool, size=b, replace=False)
         x_batch = x[batch_idx]
-        x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
-        x_student = [x_weak]
+        x_student = x_weak = augment_weak_batch(x_batch, rng, cfg.augment)
         if use_pseudo:
             # Every random number of the step is drawn before any pass.
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
@@ -470,34 +486,38 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             hits, negative = pos[:b], neg[:b]
             x_mix, y_mix, valid = ude_batch(mix, values, known, pos[b:],
                                             neg[b:], cfg)
-            x_student += [x_strong, x_mix]
+            x_student = np.concatenate([x_weak, x_strong, x_mix])
 
-        # One student pass and one backward over the student rows, each
+        # One student pass, link and backward over the student rows, each
         # loss on its rows.
-        cache = nn.forward(student, np.concatenate(x_student))
+        cache = nn.forward(student, x_student)
         logits = cache.logits
-        l_i, dl_w = loss_identified(logits[:b], values[batch_idx],
-                                    known[batch_idx], spec.task,
-                                    class_weights)
-        dl = [dl_w]
+        link = nn.log_softmax(logits) if spec.task == "single" \
+            else nn.sigmoid(logits)
+        l_i, dl = loss_identified(logits[:b], values[batch_idx],
+                                  known[batch_idx], spec.task, class_weights,
+                                  link[:b])
         l_u = l_ude = 0.0
         if use_pseudo:
             l_u, dl_s = loss_unknown(logits[b:2 * b], hits, spec.task,
-                                     negative)
-            l_ude, dl_u = loss_ude(logits[2 * b:], y_mix, spec.task, valid)
-            dl += [dl_s, cfg.ude_weight * dl_u]
-        grads = nn.backward(student, cache, np.concatenate(dl))
+                                     negative, link[b:2 * b])
+            l_ude, dl_u = loss_ude(logits[2 * b:], y_mix, spec.task, valid,
+                                   link[2 * b:])
+            dl = np.concatenate([dl, dl_s, cfg.ude_weight * dl_u])
+        nn.backward(student, cache, dl, out=grads)
 
         total = l_i + l_u + cfg.ude_weight * l_ude
         if not np.isfinite(total):
             raise NumericError(
                 f"client {spec.client_id}: non-finite loss at round "
                 f"{round_idx} iter {it} (L_I={l_i}, L_U={l_u}, L_UDE={l_ude})")
-        student, adam = nn.adam_step(student, grads, adam, lr_t)
-        loss_sums += (l_i, l_u, l_ude)
+        nn.adam_step(student, grads, adam, lr_t, out=(student, adam))
+        sum_i += l_i
+        sum_u += l_u
+        sum_ude += l_ude
         if not use_pseudo:
             continue
-        teacher = nn.ema_update(teacher, student, cfg.ema_decay)
+        nn.ema_update(teacher, student, cfg.ema_decay, out=teacher)
         kept_total += int(hits.sum())
         if it >= edd_window_start:
             _track_verdicts(tracked, batch_idx, hits)
@@ -505,9 +525,9 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     edd += tracked.sum(axis=0)
     iters = max(cfg.local_iters, 1)
     stats = {
-        "loss_identified": float(loss_sums[0] / iters),
-        "loss_unknown": float(loss_sums[1] / iters),
-        "loss_ude": float(loss_sums[2] / iters),
+        "loss_identified": sum_i / iters,
+        "loss_unknown": sum_u / iters,
+        "loss_ude": sum_ude / iters,
         "kept_pseudo": kept_total,
     }
     return ClientUpdate(client_id=spec.client_id, params=student,

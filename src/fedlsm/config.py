@@ -93,7 +93,10 @@ def _build(cls, d: dict, path: str = ""):
         else:
             kind = type(default)
             if kind is float and isinstance(v, int) and not isinstance(v, bool):
-                v = float(v)
+                try:
+                    v = float(v)
+                except OverflowError:  # beyond float range: no number
+                    raise ConfigError(f"{key}: expected a number") from None
             if not isinstance(v, kind) or (isinstance(v, bool)
                                            and kind is not bool):
                 raise ConfigError(f"{key}: expected {_SCALAR[kind]}")

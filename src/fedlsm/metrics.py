@@ -41,18 +41,39 @@ def roc_auc(scores, labels) -> float:
     AUC NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    return float(_aucs(scores.reshape(1, -1), np.reshape(labels, (1, -1)))[0])
+
+
+def _aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """roc_auc of each row of a (classes, samples) score matrix against the
+    same rows of labels, from one argsort.
+
+    A tied run of sorted scores at 0-based positions [a, b) shares the
+    midrank (a + 1 + b) / 2.  Rank sums are sums of half-integers, exact
+    in float64 in any order, so sort order within a tie cannot matter.
+    """
+    pos = labels == 1
+    n_pos = np.count_nonzero(pos, axis=1)
+    n_neg = np.count_nonzero(labels == 0, axis=1)
+    if not (n_pos.all() and n_neg.all()):
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    if np.isnan(scores).any():
-        return float("nan")
-    ordered = np.sort(scores)
-    ranks = (np.searchsorted(ordered, scores, "left")
-             + np.searchsorted(ordered, scores, "right") + 1) / 2.0
-    pos_rank_sum = ranks[labels == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    k, n = scores.shape
+    order = np.argsort(scores, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1).ravel()
+    # Runs start where the sorted value changes or a row begins.
+    head = np.ones(k * n, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    head[::n] = True
+    starts = np.flatnonzero(head)
+    ends = np.append(starts[1:], k * n)
+    row = starts // n
+    midrank = (starts + ends + 1 - 2 * n * row) / 2.0
+    hits = np.add.reduceat(np.take_along_axis(pos, order, axis=1).ravel(),
+                           starts, dtype=np.intp)
+    pos_rank_sum = np.bincount(row, weights=hits * midrank, minlength=k)
+    auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    auc[np.isnan(scores).any(axis=1)] = np.nan
+    return auc
 
 
 def macro_metrics(probs: np.ndarray, true_labels: np.ndarray,
@@ -83,10 +104,11 @@ def macro_metrics(probs: np.ndarray, true_labels: np.ndarray,
 
     # A single-class column leaves every metric of its class undefined.
     scorable = true_labels.min(axis=0) != true_labels.max(axis=0)
-    per_class_auc = [roc_auc(probs[:, c], true_labels[:, c]) if ok else None
-                     for c, ok in enumerate(scorable)]
     if not scorable.any():
         raise UndefinedMetricError("no class has both positives and negatives")
+    aucs = _aucs(probs.T[scorable], true_labels.T[scorable])
+    it = iter(aucs.tolist())
+    per_class_auc = [next(it) if ok else None for ok in scorable]
     p, y = predicted[:, scorable] == 1, true_labels[:, scorable]
     tp = (p & (y == 1)).sum(axis=0).astype(np.float64)
     fp = (p & (y == 0)).sum(axis=0)
@@ -96,7 +118,7 @@ def macro_metrics(probs: np.ndarray, true_labels: np.ndarray,
     f1 = _ratio(2 * precision * recall, precision + recall)
     return EvalResult(
         per_class_auc=per_class_auc,
-        macro_auc=float(np.mean([a for a in per_class_auc if a is not None])),
+        macro_auc=float(np.mean(aucs)),
         accuracy=accuracy,
         macro_f1=float(np.mean(f1)),
         macro_precision=float(np.mean(precision)),

@@ -9,8 +9,10 @@ honest in the gradient checks.
 All arithmetic is float64.  A model is one parameter vector in
 checkpoint order (W0, b0, W1, b1, ..., proxies, proxy_bias) with
 per-layer views for forward/backward, so Adam, EMA and parameter sums are
-single array expressions.  Parameters and gradients are immutable by
-convention: every operation returns a fresh vector.
+single array expressions.  Every operation returns a fresh vector unless
+it is given `out=` (NumPy's idiom): backward, adam_step and ema_update
+then write into that model's vector, which may be an input's own, so a
+client round trains in buffers it owns and allocates no model per step.
 """
 
 from __future__ import annotations
@@ -161,15 +163,15 @@ def forward(params: ModelParams, batch: np.ndarray) -> ForwardCache:
     return cache
 
 
-def backward(params: ModelParams, cache: ForwardCache,
-             dlogits: np.ndarray) -> ModelParams:
+def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray,
+             out: ModelParams | None = None) -> ModelParams:
     """Exact gradients of sum(dlogits * logits) w.r.t. every parameter,
-    written into one fresh vector."""
+    written into out (not params itself) or one fresh vector."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise ShapeError(
             f"dlogits shape {dlogits.shape} != logits shape {cache.logits.shape}")
-    grads = params.like(np.empty_like(params.flat))
+    grads = params.like(np.empty_like(params.flat)) if out is None else out
     np.matmul(dlogits.T, cache.features, out=grads.proxies)
     dlogits.sum(axis=0, out=grads.proxy_bias)
     dh = dlogits @ params.proxies
@@ -195,9 +197,13 @@ def _non_finite_layer(grads: ModelParams) -> str:
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              lr: float) -> tuple[ModelParams, AdamState]:
+              lr: float, out: tuple[ModelParams, AdamState] | None = None
+              ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update with ADAM_BETA1/ADAM_BETA2/ADAM_EPS.
-    Returns fresh params and state."""
+
+    Returns fresh params and state, or writes them into out = (params,
+    state), which may be the inputs themselves, and returns out.
+    """
     if not 0.0 < lr < math.inf:
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
     g = grads.flat
@@ -211,27 +217,40 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     # In place, with the operands and order of
     #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
     #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-    m = b1 * state.m
+    if out is None:
+        out = (params.like(np.empty_like(params.flat)),
+               AdamState(m=np.empty_like(g), v=np.empty_like(g)))
+    new, moments = out
+    m, v = moments.m, moments.v
+    np.multiply(b1, state.m, out=m)
     m += (1.0 - b1) * g
-    v = b2 * state.v
+    np.multiply(b2, state.v, out=v)
     g2 = (1.0 - b2) * g
     g2 *= g
     v += g2
-    denom = v / bc2
+    denom = np.divide(v, bc2, out=g2)
     np.sqrt(denom, out=denom)
     denom += eps
     step = m / bc1
     step *= lr
     step /= denom
-    return params.like(params.flat - step), AdamState(m=m, v=v, step=t)
+    np.subtract(params.flat, step, out=new.flat)
+    moments.step = t
+    return out
 
 
-def ema_update(teacher: ModelParams, student: ModelParams,
-               decay: float) -> ModelParams:
-    """teacher' = decay * teacher + (1 - decay) * student, per parameter."""
+def ema_update(teacher: ModelParams, student: ModelParams, decay: float,
+               out: ModelParams | None = None) -> ModelParams:
+    """teacher' = decay * teacher + (1 - decay) * student, per parameter,
+    written into out (which may be teacher, not student) or a fresh
+    vector."""
     if not 0.0 <= decay <= 1.0:
         raise ConfigError(f"EMA decay must be in [0, 1], got {decay}")
-    return teacher.like(decay * teacher.flat + (1.0 - decay) * student.flat)
+    if out is None:
+        out = teacher.like(np.empty_like(teacher.flat))
+    np.multiply(decay, teacher.flat, out=out.flat)
+    out.flat += (1.0 - decay) * student.flat
+    return out
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "client_steps_per_s", "better": "higher"},
-              {"name": "round_s_p50", "better": "lower"}]
+END_TO_END = [{"name": "client_steps_per_s", "better": "higher",
+               "bound": 0.22},
+              {"name": "round_s_p50", "better": "lower", "bound": 0.22}]
 
 
 def test_quartiles_interpolate_between_order_statistics():
@@ -27,15 +28,37 @@ def test_quartiles_interpolate_between_order_statistics():
 
 def test_compare_counts_wins_and_ties_in_the_metric_direction():
     pairs = [(10.0, 12.0), (10.0, 10.0), (11.0, 9.0), (9.0, 15.0)]
-    up = bench_pairs.compare(pairs, higher_better=True)
+    up = bench_pairs.compare(pairs, higher_better=True, bound=0.2)
     assert (up["change_better"], up["ties"]) == (2, 1)
-    down = bench_pairs.compare(pairs, higher_better=False)
+    down = bench_pairs.compare(pairs, higher_better=False, bound=0.2)
     assert (down["change_better"], down["ties"]) == (1, 1)
     assert up["parent"]["median"] == 10.0
     assert up["change"]["median"] == 11.0
     assert up["median_ratio"] == pytest.approx(1.1)
     assert up["parent_iqr"] == pytest.approx(10.25 - 9.75)
-    assert math.isnan(bench_pairs.compare([(0.0, 1.0)], True)["median_ratio"])
+    assert math.isnan(
+        bench_pairs.compare([(0.0, 1.0)], True, 0.2)["median_ratio"])
+
+
+@pytest.mark.parametrize("higher_better", [True, False])
+def test_compare_states_the_claim_and_bound_verdicts(higher_better):
+    # Parent values 9, 10, 10, 11: median 10, IQR 0.5.  The change's
+    # median moves by `shift` in the better direction.
+    sign = 1.0 if higher_better else -1.0
+
+    def verdicts(shift, bound=0.2):
+        pairs = [(p, p + sign * shift) for p in (9.0, 10.0, 10.0, 11.0)]
+        s = bench_pairs.compare(pairs, higher_better, bound)
+        assert s["parent_iqr"] == 0.5
+        return s["gap_over_iqr"], s["beyond_bound"]
+
+    assert verdicts(0.6) == (True, False)
+    assert verdicts(0.5) == (False, False)  # a gap must exceed the IQR
+    assert verdicts(0.0) == (False, False)
+    assert verdicts(-2.0) == (False, False)  # exactly the 20% bound
+    assert verdicts(-2.5) == (False, True)
+    assert verdicts(-0.6, bound=0.05) == (False, True)
+    assert verdicts(-0.4, bound=0.05) == (False, False)
 
 
 def run(wl, seed, side, steps, p50, trace=0, rc=0):
@@ -64,6 +87,7 @@ def test_summarise_pairs_by_seed_and_drops_incomplete_pairs():
     assert steps["change"]["median"] == 145.0
     assert steps["change_better"] == 2
     assert s["round_s_p50"]["change_better"] == 2
+    assert steps["gap_over_iqr"] and not steps["beyond_bound"]
     held = bench_pairs.held_out(runs, ["w"])
     assert held == {"w": {"parent": 0.9, "change": 0.9}}
 

@@ -328,6 +328,16 @@ def test_run_rejects_non_finite_client_settings(tiny_config, tmp_path, capsys,
     assert not out.exists()  # refused before anything trained or was written
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_run_rejects_an_integer_beyond_float_range(tiny_config, tmp_path,
+                                                   capsys, sign):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--set", f"client.lr={sign}1{'0' * 400}", "--quiet") == 1
+    assert capsys.readouterr().err == "error: client.lr: expected a number\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("settings", [["federation.n_test=1"],
                                       ["federation.n_test=-1"],
                                       ["federation.n_val=-1"],

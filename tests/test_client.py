@@ -1,6 +1,7 @@
 """Local training: pseudo labels, losses, MixUp batches, EDD counting."""
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -200,6 +201,36 @@ def test_losses_reject_an_unknown_task(task):
         with pytest.raises(ConfigError, match=f"task: must be 'single' or "
                                               f"'multi', got {task!r}"):
             call()
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(3))
+def test_losses_given_the_pass_link_give_the_same_bits(task, seed):
+    # local_train takes one link over the whole student pass and hands
+    # each loss its rows; both links work row by row, so each loss must
+    # give the bits it computes from its own logits.
+    rng = np.random.default_rng(seed)
+    b, n_mix, m = 9, 3, 7
+    logits = rng.normal(scale=[[1.0]] * 12 + [[40.0]] * 9,
+                        size=(2 * b + n_mix, m))
+    logits[rng.random(logits.shape) < 0.05] = 0.0
+    link = nn.log_softmax(logits) if task == "single" else nn.sigmoid(logits)
+    known = rng.random((b, m)) < 0.4
+    values = np.where(known, rng.random((b, m)) < 0.5, False) * 1.0
+    hits = rng.random((b, m)) < 0.2
+    negative = ~hits & (rng.random((b, m)) < 0.5)
+    targets = rng.dirichlet(np.ones(m), size=n_mix)
+    valid = rng.random((n_mix, m)) < 0.7
+    weights = 1.0 + rng.random(m) if task == "multi" else None
+    rows = [(loss_identified, slice(0, b), (values, known, task, weights)),
+            (loss_unknown, slice(b, 2 * b), (hits, task, negative)),
+            (loss_ude, slice(2 * b, None), (targets, task, valid))]
+    for loss, r, args in rows:
+        want = loss(logits[r], *args)
+        got = loss(logits[r], *args, link=link[r])
+        assert (type(got[0]), struct.pack("<d", got[0])) == \
+            (type(want[0]), struct.pack("<d", want[0]))
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("task", ["single", "multi"])
@@ -522,6 +553,27 @@ def test_supervised_branch_ignores_unlabeled_samples():
                     use_pseudo=False)
     assert np.array_equal(a.params.proxies, b.params.proxies)
     assert a.stats["kept_pseudo"] == 0
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("mode", ["fedlsm", "fedavg_masked", "fedavg_full"])
+def test_local_train_leaves_its_inputs_untouched(task, mode):
+    # A round trains in buffers it owns: the global model and the client's
+    # arrays keep their bytes, and the update shares no memory with them.
+    fed, params = equivalence_setup(task, 1)
+    data = fed.clients[0]
+    if mode == "fedavg_full":
+        data = unmask_labels(data.x, fed.truth[0])
+    before = [a.tobytes() for a in (params.flat, data.x, data.values,
+                                    data.known)]
+    upd = local_train(params, data, fed.specs[0], fast_cfg(tau=0.6,
+                                                           tau_l=0.4),
+                      round_idx=0, seed=1, use_pseudo=mode == "fedlsm")
+    after = [a.tobytes() for a in (params.flat, data.x, data.values,
+                                   data.known)]
+    assert after == before
+    assert not np.shares_memory(upd.params.flat, params.flat)
+    assert upd.params.flat.tobytes() != params.flat.tobytes()
 
 
 def test_local_train_rejects_empty_dataset():

@@ -342,9 +342,53 @@ def _configs(draw):
     return d
 
 
+FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer float() rejects
+
+
+def _overflowing_key(cls, d: dict, path: str = ""):
+    """Dotted path of the first float field, in the builders' walk order,
+    that holds an integer too large for a float; None if there is none."""
+    proto = cls()
+    for f in fields(cls):
+        default, v = getattr(proto, f.name), d.get(f.name)
+        if is_dataclass(default) and isinstance(v, dict):
+            key = _overflowing_key(type(default), v,
+                                   f"{path}.{f.name}" if path else f.name)
+            if key is not None:
+                return key
+        elif isinstance(default, float) and isinstance(v, int) \
+                and not isinstance(v, bool) and abs(v) >= FLOAT_OVERFLOW:
+            return f"{path or 'config'}.{f.name}"
+    return None
+
+
 @settings(max_examples=600, deadline=None)
 @given(d=_configs())
 def test_builder_matches_the_parent_parser(d):
+    want = _outcome(reference_config_from_dict, d)
+    if want == (OverflowError, "int too large to convert to float"):
+        # The one intended difference: an integer beyond float range in a
+        # float field is a ConfigError naming that field, not a traceback.
+        want = (ConfigError,
+                f"{_overflowing_key(ExperimentConfig, d)}: expected a number")
+    assert _outcome(config_from_dict, d) == want
+
+
+@pytest.mark.parametrize("key", ["client.lr", "client.augment.sigma_weak",
+                                 "federation.cluster_sep"])
+@pytest.mark.parametrize("value", [10**400, -10**400, FLOAT_OVERFLOW],
+                         ids=["1e400", "-1e400", "least_overflow"])
+def test_an_integer_beyond_float_range_is_a_config_error(key, value):
+    d = node = {}
+    *section, name = key.split(".")
+    for part in section:
+        node = node.setdefault(part, {})
+    node[name] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert str(err.value) == f"{key}: expected a number"
+    # the largest integer a float can round to still converts
+    node[name] = FLOAT_OVERFLOW - 1
     assert _outcome(config_from_dict, d) == \
         _outcome(reference_config_from_dict, d)
 

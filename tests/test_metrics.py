@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -251,9 +251,97 @@ def _tables(draw):
     return probs, truth, task
 
 
+def _edge_cases(test):
+    """Tables the one-sort AUC must treat as the per-column code did: a
+    scorable column whose labels are only 0 and 0.5 (no positive), an
+    all-NaN score column, and scores tied across every row."""
+    half = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]])
+    no_positive = np.array([[1.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 0.5]])
+    nan_column = half.copy()
+    nan_column[:, 1] = np.nan
+    mixed = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    tied = np.full((5, 3), 0.5)
+    for case in [(half, no_positive, "multi"), (nan_column, mixed, "multi"),
+                 (tied, np.eye(3)[[0, 1, 2, 0, 1]], "single"),
+                 (tied, np.eye(3)[[0, 1, 2, 0, 1]], "multi")]:
+        test = example(case=case)(test)
+    return test
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=_tables())
+@_edge_cases
 def test_macro_metrics_matches_the_parent_loop_bit_for_bit(case):
     probs, truth, task = case
     assert _metric_bits(macro_metrics, probs, truth, task) == \
         _metric_bits(reference_macro_metrics, probs, truth, task)
+
+
+# ------------------------------------------- one-sort AUCs vs the parent
+#
+# parent_roc_auc is roc_auc as it was before every class's AUC came from
+# one argsort of the score matrix: midranks from two searchsorted calls
+# per column.  It is kept verbatim; the matrix code must give its bits.
+
+def parent_roc_auc(scores, labels) -> float:
+    """Rank-based AUC: P(score_pos > score_neg) + 0.5 * P(tie).
+
+    Uses midranks, so ties contribute one half.  A NaN score makes the
+    AUC NaN.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUC needs at least one positive and one negative")
+    if np.isnan(scores).any():
+        return float("nan")
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, "left")
+             + np.searchsorted(ordered, scores, "right") + 1) / 2.0
+    pos_rank_sum = ranks[labels == 1].sum()
+    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _auc_bits(aucs):
+    return [None if a is None else (type(a), struct.pack("<d", a))
+            for a in aucs]
+
+
+def _one_sort_aucs(probs, truth, task):
+    try:
+        return _auc_bits(macro_metrics(probs, truth, task).per_class_auc)
+    except UndefinedMetricError as e:
+        return str(e)
+
+
+def _parent_aucs(probs, truth):
+    truth = np.asarray(truth, dtype=np.float64)
+    scorable = truth.min(axis=0) != truth.max(axis=0)
+    try:
+        aucs = [parent_roc_auc(probs[:, c], truth[:, c]) if ok else None
+                for c, ok in enumerate(scorable)]
+    except UndefinedMetricError as e:
+        return str(e)
+    if not scorable.any():
+        return "no class has both positives and negatives"
+    return _auc_bits(aucs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_tables())
+@_edge_cases
+def test_one_sort_aucs_match_the_parent_roc_auc_bit_for_bit(case):
+    probs, truth, task = case
+    assert _one_sort_aucs(probs, truth, task) == _parent_aucs(probs, truth)
+    for c in range(probs.shape[1]):
+        try:
+            want = _auc_bits([parent_roc_auc(probs[:, c], truth[:, c])])
+        except UndefinedMetricError as e:
+            want = str(e)
+        try:
+            got = _auc_bits([roc_auc(probs[:, c], truth[:, c])])
+        except UndefinedMetricError as e:
+            got = str(e)
+        assert got == want

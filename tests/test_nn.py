@@ -311,26 +311,42 @@ def test_vector_algebra_matches_per_array_reference_exactly(dims, m):
         assert same_bytes(arrays_of(nn.add_params(p, q, scale)),
                           reference_add_params(p, q, scale))
     for decay in (0.0, 0.999, 0.5, 1.0):
-        assert same_bytes(arrays_of(nn.ema_update(p, q, decay)),
-                          reference_ema_update(p, q, decay))
+        want = reference_ema_update(p, q, decay)
+        assert same_bytes(arrays_of(nn.ema_update(p, q, decay)), want)
+        # out= a buffer of garbage, and out= the teacher itself
+        out = p.like(np.full_like(p.flat, np.nan))
+        assert nn.ema_update(p, q, decay, out=out) is out
+        assert same_bytes(arrays_of(out), want)
+        teacher = p.like(p.flat.copy())
+        nn.ema_update(teacher, q, decay, out=teacher)
+        assert same_bytes(arrays_of(teacher), want)
 
     state = nn.AdamState.init(p)
+    # a round's own buffers, updated in place as local_train does
+    own, own_state = p.like(p.flat.copy()), nn.AdamState.init(p)
     params = arrays_of(p)
     m_ref = [np.zeros_like(a) for a in params]
     v_ref = [np.zeros_like(a) for a in params]
     for step in range(5):
         grads = p.like(rng.normal(size=p.flat.size) * 10.0 ** (step - 2))
         p, state = nn.adam_step(p, grads, state, lr=3e-3)
+        out = (own, own_state)
+        assert nn.adam_step(own, grads, own_state, 3e-3, out=out) is out
         params, m_ref, v_ref = reference_adam_step(
             params, arrays_of(grads), m_ref, v_ref, step, lr=3e-3)
-        assert same_bytes(arrays_of(p), params)
-        assert state.m.tobytes() == b"".join(a.tobytes() for a in m_ref)
-        assert state.v.tobytes() == b"".join(a.tobytes() for a in v_ref)
+        for got, moments in ((p, state), (own, own_state)):
+            assert same_bytes(arrays_of(got), params)
+            assert moments.m.tobytes() == b"".join(a.tobytes() for a in m_ref)
+            assert moments.v.tobytes() == b"".join(a.tobytes() for a in v_ref)
+            assert moments.step == step + 1
 
     cache = nn.forward(p, rng.normal(size=(9, dims[0])))
     dlogits = rng.normal(size=cache.logits.shape)
-    assert same_bytes(arrays_of(nn.backward(p, cache, dlogits)),
-                      reference_backward(p, cache, dlogits))
+    want = reference_backward(p, cache, dlogits)
+    assert same_bytes(arrays_of(nn.backward(p, cache, dlogits)), want)
+    out = p.like(np.full_like(p.flat, np.nan))
+    assert nn.backward(p, cache, dlogits, out=out) is out
+    assert same_bytes(arrays_of(out), want)
 
 
 @pytest.mark.parametrize("dims,m", NET_SHAPES)

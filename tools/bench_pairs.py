@@ -14,7 +14,11 @@ finished.
 
 Layout: `summary` (per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and tied, the ratio of
-the medians and the parent's interquartile range),
+the medians, the parent's interquartile range, and two verdicts:
+`gap_over_iqr`, the medians differ in the better direction by more than
+that range, and `beyond_bound`, the change's median is worse than the
+parent's by more than the metric's BENCHMARK.json bound, relative to the
+parent's median),
 `held_out_final_macro_auc`, `traced` (each side's per-layer metrics)
 and `runs` (the final JSON line of every bench/run.py run).
 """
@@ -79,18 +83,24 @@ def quartiles(values: list[float]) -> dict:
             "n": len(values)}
 
 
-def compare(pairs: list[tuple[float, float]], higher_better: bool) -> dict:
-    """Summary of (parent, change) values of one metric over pairs."""
+def compare(pairs: list[tuple[float, float]], higher_better: bool,
+            bound: float) -> dict:
+    """Summary of (parent, change) values of one metric over pairs; bound
+    is the metric's allowed relative worsening."""
     parent = quartiles([p for p, _ in pairs])
     change = quartiles([c for _, c in pairs])
     sign = 1.0 if higher_better else -1.0
+    gain = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
     return {
         "parent": parent, "change": change,
         "change_better": sum(sign * (c - p) > 0 for p, c in pairs),
         "ties": sum(c == p for p, c in pairs),
         "median_ratio": (change["median"] / parent["median"]
                          if parent["median"] else float("nan")),
-        "parent_iqr": parent["q3"] - parent["q1"],
+        "parent_iqr": iqr,
+        "gap_over_iqr": gain > iqr,
+        "beyond_bound": -gain > bound * abs(parent["median"]),
     }
 
 
@@ -120,7 +130,7 @@ def summarise(runs: list[dict], workloads: list[str],
             pairs = [p for p in pairs if None not in p]
             if pairs:
                 entry[metric["name"]] = compare(
-                    pairs, metric["better"] == "higher")
+                    pairs, metric["better"] == "higher", metric["bound"])
         out[wl] = entry
     return out
 
