@@ -60,12 +60,16 @@ class ClientConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self, path: str = "client") -> None:
+        if self.local_iters < 0:
+            raise ConfigError(f"{path}: local_iters must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError(f"{path}: batch_size must be >= 1")
         if not 0.0 < self.tau_n < self.tau_p < 1.0:
             raise ConfigError(f"{path}: need 0 < tau_n < tau_p < 1")
         if not 0.0 < self.tau_ln < self.tau_lp < 1.0:
             raise ConfigError(f"{path}: need 0 < tau_ln < tau_lp < 1")
-        if not self.tau_l < self.tau:
-            raise ConfigError(f"{path}: need tau_l < tau")
+        if not 0.0 < self.tau_l < self.tau:
+            raise ConfigError(f"{path}: need 0 < tau_l < tau")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"{path}: need tau in (0, 1)")
         if not 0 <= self.ude_batch_size <= self.batch_size:
@@ -79,8 +83,6 @@ class ClientConfig:
                 raise ConfigError(f"{path}: {name} must be finite and >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ConfigError(f"{path}: ema_decay must be in [0, 1]")
-        if self.local_iters < 0 or self.batch_size < 1:
-            raise ConfigError(f"{path}: bad local_iters/batch_size")
         if self.frac_l < 0 or self.frac_h < 0 or \
                 not self.frac_l + self.frac_h <= 1:
             raise ConfigError(f"{path}: need frac_l + frac_h <= 1")

@@ -23,73 +23,17 @@ from .errors import ConfigError
 COVERAGE_ATTEMPTS = 1000
 TASKS = ("single", "multi")
 
-# Cephes ndtri, the rational approximation scipy.special.ndtri wraps, with
-# its coefficients, branch points and evaluation order, so the multi-label
-# threshold keeps SciPy's exact bits without importing it.
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-# exp(-2) < p < 1 - exp(-2)
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-       -5.66762857469070293439E1, 1.39312609387279679503E1,
-       -1.23916583867381258016E0)
-_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
-       8.63602421390890590575E1, -2.25462687854119370527E2,
-       2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-# y = min(p, 1 - p) <= exp(-2), sqrt(-2 log y) in [2, 8)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-       5.71628192246421288162E1, 4.40805073893200834700E1,
-       1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-       -8.57456785154685413611E-4)
-_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
-       4.13172038254672030440E1, 1.50425385692907503408E1,
-       2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# sqrt(-2 log y) >= 8, so y <= exp(-32)
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-       3.93881025292474443415E0, 1.33303460815807542389E0,
-       2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6,
-       6.23974539184983293730E-9)
-_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
-       1.37702099489081330271E0, 2.16236993594496635890E-1,
-       1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner's rule, highest power first.  A leading 1.0 gives Cephes
-    p1evl's first step, x + coef[1], exactly."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
 
 def ndtri(p: float) -> np.float64:
-    """Standard normal quantile of p in [0, 1], bit-identical to
-    scipy.special.ndtri: -inf at 0.0, +inf at 1.0."""
+    """Standard normal quantile of p in [0, 1] by AS241 (statistics),
+    with the -inf at 0.0 and +inf at 1.0 that inv_cdf refuses."""
     if p == 0.0:
         return np.float64(-np.inf)
     if p == 1.0:
         return np.float64(np.inf)
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
-        return np.float64(x * _S2PI)
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
-    x = x0 - x1
-    return np.float64(x if upper else -x)
+    # Imported here, so only multi-label generation pays for the module.
+    from statistics import NormalDist
+    return np.float64(NormalDist().inv_cdf(p))
 
 
 def check_task(task: str, where: str = "task:") -> None:
@@ -288,6 +232,8 @@ def gen_federation(cfg: FederationConfig) -> Federation:
             return _draw_single_label(n, centers, cfg, rng)
     else:
         directions = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
+        # AS241's normal quantile: +inf when 1 - rate rounds to 1.0, so
+        # no row is positive and the test-set check below refuses it.
         threshold = ndtri(1.0 - cfg.positive_rate)
 
         def draw(n):

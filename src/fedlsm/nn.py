@@ -111,10 +111,6 @@ class ForwardCache:
     logits: np.ndarray = None
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return params.like(np.zeros_like(params.flat))
-
-
 def add_params(a: ModelParams, b: ModelParams, scale: float = 1.0) -> ModelParams:
     """a + scale * b, elementwise over the parameter vector."""
     return a.like(a.flat + scale * b.flat)
@@ -126,8 +122,9 @@ def init_params(layer_dims: list[int], num_classes: int, seed: int) -> ModelPara
     layer_dims chains input through hidden to the feature dimension, e.g.
     [16, 32, 32] builds two feature layers 16->32->32 with 32-dim features.
     """
-    if not layer_dims:
-        raise ConfigError("layer_dims must be nonempty")
+    if not layer_dims or min(layer_dims) < 1:
+        raise ConfigError(f"layer_dims must be nonempty, each width "
+                          f">= 1, got {layer_dims}")
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
     rng = np.random.default_rng(seed)
@@ -349,6 +346,8 @@ def load_params(path: str) -> ModelParams:
     if len(blob) < offset:
         raise ParseError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{n_dims}I", blob, 16)
+    if 0 in dims:
+        raise ParseError(f"{path}: layer dimension {dims.index(0)} is 0")
     n = _layout(dims, num_classes)[-1][1]
     size = offset + 8 * n
     if len(blob) < size:

@@ -265,14 +265,15 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_unloaded():
-    # fedlsm is NumPy-only: its one normal quantile is an in-package port.
+    # fedlsm is NumPy-only: its one normal quantile is the standard
+    # library's, imported only when a multi-label federation is built.
     src = str(Path(fedlsm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, fedlsm, fedlsm.cli; "
-         "print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
+         "print(sorted(m for m in sys.modules if m == 'statistics' "
+         "or m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
 
@@ -288,14 +289,17 @@ def test_exit_code_one_for_config_problems(tmp_path):
 
 @pytest.mark.parametrize("setting", ["client.mixup_alpha=0",
                                      "client.ude_batch_size=-1",
-                                     "client.lr_decay=-0.5"])
+                                     "client.lr_decay=-0.5",
+                                     "client.tau_l=-1"])
 def test_run_rejects_bad_mixup_and_schedule_settings(tiny_config, tmp_path,
                                                      capsys, setting):
     field = setting.split("=")[0].split(".")[1]
-    assert run_cli("run", "--config", tiny_config, "--output-dir",
-                   str(tmp_path / "out"), "--set", setting, "--quiet") == 1
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--set", setting, "--quiet") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: client: ") and field in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["client.augment.scale_jitter=-3",

@@ -601,9 +601,23 @@ def test_client_config_validation():
 @pytest.mark.parametrize("field,value", [("mixup_alpha", 0.0),
                                          ("mixup_alpha", -0.2),
                                          ("ude_batch_size", -1),
-                                         ("lr_decay", -0.5)])
+                                         ("lr_decay", -0.5),
+                                         ("tau_l", 0.0),
+                                         ("tau_l", -1.0),
+                                         ("batch_size", 0),
+                                         ("local_iters", -1)])
 def test_client_config_rejects_bad_mixup_and_schedule(field, value):
     with pytest.raises(ConfigError, match=f"^client: .*{field}"):
+        ClientConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("local_iters", -1, "local_iters must be >= 0")])
+def test_client_config_names_the_bad_size_alone(field, value, message):
+    # Checked before ude_batch_size <= batch_size, whose message also
+    # contains "batch_size".
+    with pytest.raises(ConfigError, match=f"^client: {message}$"):
         ClientConfig(**{field: value}).validate()
 
 

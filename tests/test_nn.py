@@ -66,6 +66,9 @@ def test_init_rejects_bad_args():
         nn.init_params([], 3, seed=0)
     with pytest.raises(ConfigError):
         nn.init_params([4, 4], 1, seed=0)
+    for dims in ([3, 0], [0], [0, 4], [4, 6, 0, 5]):
+        with pytest.raises(ConfigError, match=r"each width >= 1, got \["):
+            nn.init_params(dims, 2, seed=0)
 
 
 def test_forward_shapes_and_logit_identity():
@@ -113,7 +116,7 @@ def test_adam_single_step_oracle():
     p = nn.ModelParams.from_arrays(layers=[(np.array([[1.0]]), np.zeros(1))],
                                    proxies=np.zeros((2, 1)),
                                    proxy_bias=np.zeros(2))
-    g = nn.zeros_like_params(p)
+    g = p.like(np.zeros_like(p.flat))
     g.layers[0][0][...] = np.array([[1.0]])
     state = nn.AdamState.init(p)
     p2, state2 = nn.adam_step(p, g, state, lr=0.1)
@@ -126,7 +129,7 @@ def test_adam_single_step_oracle():
 
 def test_adam_rejects_non_finite_gradients():
     p = small_net()
-    g = nn.zeros_like_params(p)
+    g = p.like(np.zeros_like(p.flat))
     g.layers[1][0][...] += np.nan
     with pytest.raises(NumericError, match="layer 1"):
         nn.adam_step(p, g, nn.AdamState.init(p), lr=0.1)
@@ -135,16 +138,17 @@ def test_adam_rejects_non_finite_gradients():
 @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf, -np.inf])
 def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
     p = small_net()
+    g = p.like(np.zeros_like(p.flat))
     with pytest.raises(ConfigError, match=f"lr must be finite and > 0, "
                                           f"got {lr}"):
-        nn.adam_step(p, nn.zeros_like_params(p), nn.AdamState.init(p), lr)
+        nn.adam_step(p, g, nn.AdamState.init(p), lr)
 
 
 def test_ema_oracle_and_endpoints():
     t = nn.ModelParams.from_arrays(layers=[(np.ones((1, 1)), np.ones(1))],
                                    proxies=np.ones((2, 1)),
                                    proxy_bias=np.ones(2))
-    s = nn.zeros_like_params(t)
+    s = t.like(np.zeros_like(t.flat))
     out = nn.ema_update(t, s, 0.999)
     assert out.layers[0][0][0, 0] == pytest.approx(0.999)
     assert nn.ema_update(t, s, 0.0).layers[0][0][0, 0] == 0.0
@@ -156,7 +160,7 @@ def test_ema_oracle_and_endpoints():
 def test_param_algebra():
     p = small_net(seed=1)
     q = small_net(seed=2)
-    z = nn.zeros_like_params(p)
+    z = p.like(np.zeros_like(p.flat))
     combo = nn.add_params(nn.add_params(z, p), q, scale=2.0)
     assert np.allclose(combo.proxies, p.proxies + 2.0 * q.proxies)
     assert np.allclose(combo.layers[0][0],
@@ -214,6 +218,19 @@ def test_checkpoint_rejects_zero_dims(tmp_path):
     path, blob = _checkpoint_blob(tmp_path)
     path.write_bytes(blob[:8] + (0).to_bytes(4, "little") + blob[12:])
     with pytest.raises(ParseError, match=r"model\.ckpt: .*layer dimension"):
+        nn.load_params(str(path))
+
+
+@pytest.mark.parametrize("dims,zero_at", [((3, 0), 1), ((0,), 0)])
+def test_checkpoint_rejects_a_zero_width(tmp_path, dims, zero_at):
+    # Only the 2 proxy biases have nonzero size, so the sizes agree.
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(nn.CHECKPOINT_MAGIC
+                     + struct.pack("<III", nn.CHECKPOINT_VERSION, len(dims), 2)
+                     + struct.pack(f"<{len(dims)}I", *dims)
+                     + np.zeros(2, dtype="<f8").tobytes())
+    with pytest.raises(ParseError, match=rf"model\.ckpt: layer dimension "
+                                         rf"{zero_at} is 0"):
         nn.load_params(str(path))
 
 
@@ -365,7 +382,7 @@ def test_non_finite_gradient_names_its_layer():
              "feature layer 1", "proxy layer", "proxy layer"]
     for k, name in enumerate(names):
         for bad in (np.nan, np.inf):
-            g = nn.zeros_like_params(p)
+            g = p.like(np.zeros_like(p.flat))
             arrays_of(g)[k].flat[-1] = bad
             with pytest.raises(NumericError, match=f"in {name}$"):
                 nn.adam_step(p, g, nn.AdamState.init(p), lr=0.1)
