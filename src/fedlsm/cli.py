@@ -375,6 +375,10 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # a path that cannot be read or written
+        name = f"{e.filename}: " if e.filename else ""
+        print(f"error: {name}{e.strerror or e}", file=sys.stderr)
+        return 1
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 2

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -163,13 +162,9 @@ def _decide(logits: np.ndarray, unknown, task: str, hi,
 
 def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
                   threshold) -> PseudoLabelDecision:
-    """Hard pseudo labels from one teacher softmax pass on weak views.
-
-    Accepts one vector or a (batch, d) matrix; threshold is a scalar or
-    one value per row.
-    """
-    x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
-    return _decide(nn.forward(teacher, x).logits, unknown, "single",
+    """Hard pseudo labels from one teacher softmax pass on a (batch, d)
+    matrix of weak views; threshold is a scalar or one value per row."""
+    return _decide(nn.forward(teacher, x_weak).logits, unknown, "single",
                    threshold, None)
 
 
@@ -179,9 +174,8 @@ def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
     sigmoid pass; tau_p and tau_n are scalars or one value per row."""
     if not np.all(np.less(tau_n, tau_p)):
         raise ConfigError(f"need tau_n < tau_p, got {tau_n} >= {tau_p}")
-    x = np.atleast_2d(np.asarray(x_weak, dtype=np.float64))
-    return _decide(nn.forward(teacher, x).logits, unknown, "multi", tau_p,
-                   tau_n)
+    return _decide(nn.forward(teacher, x_weak).logits, unknown, "multi",
+                   tau_p, tau_n)
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int,
@@ -287,17 +281,6 @@ def loss_ude(logits: np.ndarray, targets: np.ndarray, task: str,
                        link)
 
 
-def mixup(x_l: np.ndarray, y_l: np.ndarray, x_h: np.ndarray, y_h: np.ndarray,
-          lambda_mix):
-    """Convex combination of two samples and their label vectors.
-
-    For row-stacked pairs, lambda_mix is a (pairs, 1) column of weights.
-    """
-    x = lambda_mix * np.asarray(x_l) + (1.0 - lambda_mix) * np.asarray(x_h)
-    y = lambda_mix * np.asarray(y_l) + (1.0 - lambda_mix) * np.asarray(y_h)
-    return x, y
-
-
 def ude_candidates(known: np.ndarray, part: UncertaintyPartition,
                    cfg: ClientConfig) -> int:
     """MixUp candidate pairs per batch: none when the partition has no
@@ -310,57 +293,48 @@ def ude_candidates(known: np.ndarray, part: UncertaintyPartition,
     return per_pair * cfg.ude_batch_size
 
 
-class MixDraw(NamedTuple):
-    """One batch's MixUp draws: n confident then n uncertain candidate
-    members (row indices), their inputs and weak views, and n mixing
-    weights."""
-
-    members: np.ndarray
-    x: np.ndarray
-    views: np.ndarray
-    lams: np.ndarray
-
-
 def draw_mix(x: np.ndarray, part: UncertaintyPartition, n: int,
-             cfg: ClientConfig, rng: np.random.Generator) -> MixDraw:
-    """Draw n MixUp candidate pairs of (confident, uncertain) rows of x.
+             cfg: ClientConfig, rng: np.random.Generator):
+    """Draw n MixUp candidate pairs of (confident, uncertain) rows of x ->
+    (members, weak views, mixing weights).
 
-    The stream order is the low members, the high members, the members'
-    weak views, then the mixing weights; n = 0 draws nothing.
+    members holds n confident then n uncertain row indices.  The stream
+    order is the low members, the high members, their 2n weak views (the
+    same stream as the low members' views, then the high members'), then
+    the n weights.  n = 0 draws nothing: zero-size draws leave the
+    generator as it was.
     """
-    if n == 0:
-        return MixDraw(np.zeros(0, dtype=np.intp), x[:0], x[:0], np.zeros(0))
     members = np.concatenate([_draw_with_replacement(part.low, n, rng),
                               _draw_with_replacement(part.high, n, rng)])
-    x_members = x[members]
-    # One draw of 2n weak views is the same stream as a draw for the low
-    # members followed by one for the high members.
-    views = augment_weak_batch(x_members, rng, cfg.augment)
-    return MixDraw(members, x_members, views,
-                   rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n))
+    views = augment_weak_batch(x[members], rng, cfg.augment)
+    return members, views, rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
 
 
-def ude_batch(mix: MixDraw, values: np.ndarray, known: np.ndarray,
+def ude_batch(data: ClientData, members: np.ndarray, lams: np.ndarray,
               pos: np.ndarray, neg: np.ndarray, cfg: ClientConfig):
     """Up to ude_batch_size MixUp pairs of (confident, uncertain) rows.
 
-    values and known hold the client's labels row by row; pos and neg are
-    the teacher's verdict masks on the members of `mix`, taken at the
-    relaxed thresholds.  Confident and uncertain members alike take their
-    known labels first and, elsewhere, those verdicts, so a pseudo label
-    only names an unknown class.  A pair is valid on the classes where
-    both members are usable and is usable when it has one such class.
-    The first ude_batch_size usable candidates come back in draw order, so
-    fewer pairs may come back.  Returns (inputs, soft labels, valid-entry
-    mask).
+    members and lams are draw_mix's candidate pairs of rows of the
+    client's data and their mixing weights; pos and neg are the teacher's
+    verdict masks on the members, taken at the relaxed thresholds.
+    Confident and uncertain members alike take their known labels first
+    and, elsewhere, those verdicts, so a pseudo label only names an
+    unknown class.  A pair is valid on the classes where both members are
+    usable and is usable when it has one such class.  The first
+    ude_batch_size usable candidates come back in draw order, so fewer
+    pairs may come back.  A kept pair with weight lam mixes to
+    lam * confident + (1 - lam) * uncertain, inputs and labels alike.
+    Returns (inputs, soft labels, valid-entry mask).
     """
-    n = len(mix.lams)
-    y = np.where(pos, 1.0, values[mix.members])
-    ok = known[mix.members] | pos | neg
+    n = len(lams)
+    y = np.where(pos, 1.0, data.values[members])
+    ok = data.known[members] | pos | neg
     pair_ok = ok[:n] & ok[n:]
     keep = np.flatnonzero(pair_ok.any(axis=1))[:cfg.ude_batch_size]
-    x_mix, y_mix = mixup(mix.x[keep], y[keep], mix.x[n + keep], y[n + keep],
-                         mix.lams[keep, None])
+    lam = lams[keep, None]
+    x_mix = lam * data.x[members[keep]] \
+        + (1.0 - lam) * data.x[members[n + keep]]
+    y_mix = lam * y[keep] + (1.0 - lam) * y[n + keep]
     return x_mix, y_mix, pair_ok[keep]
 
 
@@ -474,19 +448,18 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         if use_pseudo:
             # Every random number of the step is drawn before any pass.
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
-            mix = draw_mix(x, part, n_mix, cfg, rng)
+            members, views, lams = draw_mix(x, part, n_mix, cfg, rng)
             # One teacher pass labels the weak views and the MixUp members.
-            x_teacher = np.concatenate([x_weak, mix.views])
+            x_teacher = np.concatenate([x_weak, views])
             if spec.task == "single":
                 dec = pseudo_single(teacher, x_teacher, spec.unknown, hi)
             else:
                 dec = pseudo_multi(teacher, x_teacher, spec.unknown, hi, lo)
             # Labeled samples belong to the supervised loss, never the
             # pseudo loss.
-            pos, neg = dec.masks(known[np.concatenate([batch_idx,
-                                                       mix.members])])
+            pos, neg = dec.masks(known[np.concatenate([batch_idx, members])])
             hits, negative = pos[:b], neg[:b]
-            x_mix, y_mix, valid = ude_batch(mix, values, known, pos[b:],
+            x_mix, y_mix, valid = ude_batch(data, members, lams, pos[b:],
                                             neg[b:], cfg)
             x_student = np.concatenate([x_weak, x_strong, x_mix])
 

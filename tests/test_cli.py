@@ -371,6 +371,36 @@ def test_run_rejects_bad_cluster_geometry(tiny_config, tmp_path, capsys,
     assert not out.exists()  # refused before anything trained or was written
 
 
+def cli_process(*argv):
+    """The fedlsm command run as its own process."""
+    src = str(Path(fedlsm.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "fedlsm.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+def assert_path_error(proc, path):
+    assert proc.returncode == 1
+    assert f"error: {path}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_into_an_existing_file_exits_one(tiny_config, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert_path_error(cli_process("run", "--config", tiny_config,
+                                  "--output-dir", str(taken), "--quiet"),
+                      taken)
+
+
+def test_compare_into_an_existing_file_exits_one(finished_run, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert_path_error(cli_process("compare", str(finished_run),
+                                  str(finished_run), "--output-dir",
+                                  str(taken)), taken)
+
+
 def test_run_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_bytes(b'\xff\xfe{"version": 1}')

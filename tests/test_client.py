@@ -16,13 +16,13 @@ from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
                            ClientUpdate, PseudoLabelDecision, _decide,
                            _draw_with_replacement, _track_verdicts,
                            compute_class_weights, draw_mix, local_train,
-                           loss_identified, loss_ude, loss_unknown, mixup,
+                           loss_identified, loss_ude, loss_unknown,
                            pseudo_multi, pseudo_single, ude_batch,
                            ude_candidates)
 from fedlsm.data import (AugmentConfig, ClientData, ClientSpec,
                          FederationConfig, augment_strong_batch,
                          augment_weak_batch, gen_federation, unmask_labels)
-from fedlsm.errors import ConfigError, NumericError
+from fedlsm.errors import ConfigError, NumericError, ShapeError
 from fedlsm.server import run_federation
 from fedlsm.uncertainty import UncertaintyPartition, partition
 
@@ -77,14 +77,16 @@ def mix_batch(x, values, known, part, teacher, spec, cfg, rng):
     """One MixUp batch as local_train builds it: draw the candidate pairs,
     label the members' weak views in one teacher pass at the relaxed
     thresholds, then ude_batch."""
-    mix = draw_mix(x, part, ude_candidates(known, part, cfg), cfg, rng)
+    members, views, lams = draw_mix(x, part, ude_candidates(known, part, cfg),
+                                    cfg, rng)
     if spec.task == "single":
-        dec = pseudo_single(teacher, mix.views, spec.unknown, cfg.tau_l)
+        dec = pseudo_single(teacher, views, spec.unknown, cfg.tau_l)
     else:
-        dec = pseudo_multi(teacher, mix.views, spec.unknown, cfg.tau_lp,
+        dec = pseudo_multi(teacher, views, spec.unknown, cfg.tau_lp,
                            cfg.tau_ln)
-    pos, neg = dec.masks(known[mix.members])
-    return ude_batch(mix, values, known, pos, neg, cfg)
+    pos, neg = dec.masks(known[members])
+    return ude_batch(ClientData(x, values, known), members, lams, pos, neg,
+                     cfg)
 
 
 # ------------------------------------------------------------- pseudo labels
@@ -113,6 +115,14 @@ def test_pseudo_multi_three_way_verdicts():
     x = inputs_for_logits([[3.0, -6.0, 0.0, 3.0]])
     dec = pseudo_multi(teacher, x, unknown=(0, 1, 2), tau_p=0.85, tau_n=5e-3)
     assert dec.state[0].tolist() == [1, -1, 0, 0]  # class 3 is identified
+
+
+def test_pseudo_labels_take_a_matrix_not_one_vector():
+    teacher, x = probe_net(3), np.zeros(3)
+    with pytest.raises(ShapeError, match="2-D"):
+        pseudo_single(teacher, x, (1, 2), 0.9)
+    with pytest.raises(ShapeError, match="2-D"):
+        pseudo_multi(teacher, x, (1, 2), 0.9, 0.1)
 
 
 def test_pseudo_multi_threshold_order_checked():
@@ -268,13 +278,6 @@ def test_pseudo_and_mix_gradients_match_finite_differences():
 
 # -------------------------------------------------------------------- mixup
 
-def test_mixup_algebra():
-    x, y = mixup(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                 np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.3)
-    assert np.allclose(x, [0.3, 0.7])
-    assert np.allclose(y, [0.3, 0.7])
-
-
 def _mix_setup(task, confident_high, high_class=2):
     m = 3
     teacher = probe_net(m)
@@ -413,8 +416,9 @@ def test_ude_batch_with_an_always_known_class_draws_one_plain_pass(task,
     lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
     pair_ok = ok[:need] & ok[need:]
     keep = np.flatnonzero(pair_ok.any(axis=1))
-    x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
-                         y[need + keep], lams[keep, None])
+    lam = lams[keep, None]
+    x_mix = lam * x[low_idx[keep]] + (1.0 - lam) * x[high_idx[keep]]
+    y_mix = lam * y[keep] + (1.0 - lam) * y[need + keep]
 
     assert keep.size == need
     assert got[0].tobytes() == x_mix.tobytes()
@@ -1012,8 +1016,9 @@ def parent_ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
     lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
     pair_ok = ok[:n] & ok[n:]
     keep = np.flatnonzero(pair_ok.any(axis=1))[:cfg.ude_batch_size]
-    x_mix, y_mix = mixup(x[low_idx[keep]], y[keep], x[high_idx[keep]],
-                         y[n + keep], lams[keep, None])
+    lam = lams[keep, None]
+    x_mix = lam * x[low_idx[keep]] + (1.0 - lam) * x[high_idx[keep]]
+    y_mix = lam * y[keep] + (1.0 - lam) * y[n + keep]
     return x_mix, y_mix, pair_ok[keep]
 
 
@@ -1145,17 +1150,15 @@ def equivalence_setup(task, seed):
     return fed, params
 
 
-@pytest.mark.parametrize("task", ["single", "multi"])
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("ude_weight", [0.1, 0.0])
-@pytest.mark.parametrize("batch_size", [16, 64])  # 64 > the 54-row pool
-def test_fused_step_matches_parent_loop(monkeypatch, task, seed, ude_weight,
-                                        batch_size):
+def check_fused_step(monkeypatch, task, seed, ude_weight, batch_size, fracs):
+    """local_train against reference_local_train on both clients of
+    equivalence_setup, with (frac_l, frac_h) = fracs."""
     fed, params = equivalence_setup(task, seed)
     cfg = ClientConfig(tau=0.6, tau_l=0.4, tau_p=0.8, tau_n=0.05,
                        tau_lp=0.6, tau_ln=0.1, ude_weight=ude_weight,
                        local_iters=6, batch_size=batch_size,
-                       ude_batch_size=4, lr=3e-3)
+                       ude_batch_size=4, lr=3e-3, frac_l=fracs[0],
+                       frac_h=fracs[1])
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
@@ -1175,8 +1178,30 @@ def test_fused_step_matches_parent_loop(monkeypatch, task, seed, ude_weight,
         for key in ("loss_identified", "loss_unknown", "loss_ude"):
             assert got.stats[key] == pytest.approx(want.stats[key], rel=1e-12,
                                                    abs=0.0)
-        assert (want.stats["loss_ude"] > 0) == (ude_weight > 0)
+        assert (want.stats["loss_ude"] > 0) == (ude_weight > 0
+                                                and min(fracs) > 0)
     assert kept > 0  # the pseudo-label loss took part
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("ude_weight", [0.1, 0.0])
+@pytest.mark.parametrize("batch_size", [16, 64])  # 64 > the 54-row pool
+def test_fused_step_matches_parent_loop(monkeypatch, task, seed, ude_weight,
+                                        batch_size):
+    check_fused_step(monkeypatch, task, seed, ude_weight, batch_size,
+                     (0.5, 0.1))
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("ude_weight", [0.1, 0.0])
+@pytest.mark.parametrize("batch_size", [16, 64])  # 64 > 54 or 60 rows
+# (frac_l, frac_h): an empty confident or uncertain split draws no pairs
+@pytest.mark.parametrize("fracs", [(0.5, 0.0), (0.0, 0.1)])
+def test_fused_step_matches_parent_loop_on_an_empty_split(
+        monkeypatch, task, seed, ude_weight, batch_size, fracs):
+    check_fused_step(monkeypatch, task, seed, ude_weight, batch_size, fracs)
 
 
 @pytest.mark.parametrize("task", ["single", "multi"])
