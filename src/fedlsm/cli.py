@@ -247,21 +247,14 @@ def cmd_compare(args) -> int:
 def _gradcheck_cases(rng: np.random.Generator, m: int):
     """Loss closures covering every term that produces gradients."""
     def supervised_single(batch_n):
-        values = np.zeros((batch_n, m))
-        known = np.zeros((batch_n, m), dtype=bool)
-        for i in range(batch_n):
-            values[i, rng.integers(m)] = 1.0
-            known[i] = rng.random() < 0.7
-        values *= known  # values are zero where no label is known
+        known = np.repeat(rng.random((batch_n, 1)) < 0.7, m, axis=1)
+        # values are zero where no label is known
+        values = np.eye(m)[rng.integers(m, size=batch_n)] * known
         return lambda logits: loss_identified(logits, values, known, "single")
 
     def supervised_multi(batch_n):
-        values = np.zeros((batch_n, m))
-        known = np.zeros((batch_n, m), dtype=bool)
-        for i in range(batch_n):
-            positive = rng.random(m) < 0.4
-            known[i] = rng.random(m) < 0.6
-            values[i] = np.where(known[i], positive, 0.0)
+        known = rng.random((batch_n, m)) < 0.6
+        values = np.where(known, rng.random((batch_n, m)) < 0.4, 0.0)
         weights = 1.0 + 3.0 * rng.random(m)
         return lambda logits: loss_identified(logits, values, known, "multi",
                                               weights)

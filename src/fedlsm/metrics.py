@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,14 +24,7 @@ class EvalResult:
     macro_recall: float
 
     def as_dict(self) -> dict:
-        return {
-            "macro_auc": self.macro_auc,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "per_class_auc": self.per_class_auc,
-        }
+        return asdict(self)
 
 
 def roc_auc(scores, labels) -> float:

@@ -1,10 +1,10 @@
 """Server side: aggregation and the round loop.
 
-Feature-extractor layers aggregate by sample-count-weighted averaging.
-Classification proxies aggregate per class, weighted by each client's
-estimated class distribution, so clients that actually saw (or
-confidently pseudo-labeled) a class dominate its proxy.  Classes nobody
-counted fall back to sample-count weights.
+Aggregation is one weighted average of the whole model (aggregate()).
+Sample shares weight every parameter except the proxy rows, where AWPA
+weights each client by its estimated count for that class, so clients
+that actually saw (or confidently pseudo-labeled) a class dominate its
+proxy.
 """
 
 from __future__ import annotations
@@ -47,7 +47,10 @@ def _check_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
         raise AggregationError("no client updates to aggregate")
     updates = sorted(updates, key=lambda u: u.client_id)
     ref = updates[0].params
-    for u in updates:
+    for i, u in enumerate(updates):
+        if i and u.client_id == updates[i - 1].client_id:
+            raise AggregationError(
+                f"client {u.client_id}: more than one update")
         if u.params.dims != ref.dims \
                 or u.params.num_classes != ref.num_classes:
             raise AggregationError(
@@ -70,51 +73,39 @@ def _check_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
     return updates
 
 
-def sample_weights(updates: list[ClientUpdate]) -> np.ndarray:
-    counts = np.array([u.n_samples for u in updates], dtype=np.float64)
-    return counts / counts.sum()
+def aggregate(updates: list[ClientUpdate],
+              proxy_mode: str = "awpa") -> nn.ModelParams:
+    """One weighted average of every parameter, summed in client-id order.
 
-
-def aggregate_features(updates: list[ClientUpdate]) -> nn.ModelParams:
-    """Sample-count-weighted average of the whole parameter vector, summed
-    in client-id order.  Its hidden layers are the aggregate's; aggregate()
-    replaces its proxy layer."""
+    Client k's weight is its sample share n_k / sum(n), except on proxy
+    row c and its bias, where "awpa" weights it by k's count for c over
+    the total count for c.  A class nobody counted keeps sample shares.
+    "fedavg" is awpa with nothing counted, so it uses sample shares
+    throughout.
+    """
+    if proxy_mode not in PROXY_MODES:
+        raise ConfigError(f"unknown proxy aggregation '{proxy_mode}'")
     updates = _check_updates(updates)
-    w = sample_weights(updates)
+    n = np.array([u.n_samples for u in updates], dtype=np.float64)
+    w = n / n.sum()  # (K,)
+    q = np.stack([np.asarray(u.edd, dtype=np.float64) for u in updates])
+    if proxy_mode == "fedavg":  # nothing counted: sample shares
+        q[...] = 0.0
+    totals = q.sum(axis=0)  # (M,)
+    shares = np.where(totals > 0, q / np.where(totals > 0, totals, 1.0),
+                      w[:, None])  # (K, M)
+    weights = [u.params.like(np.full_like(u.params.flat, wk))
+               for wk, u in zip(w, updates)]
+    for weight, s in zip(weights, shares):
+        weight.proxies[...], weight.proxy_bias[...] = s[:, None], s
     return updates[0].params.like(
-        sum(wk * u.params.flat for wk, u in zip(w, updates)))
+        sum(wt.flat * u.params.flat for wt, u in zip(weights, updates)))
 
 
 def aggregate_proxies(updates: list[ClientUpdate], mode: str = "awpa"):
-    """Per-class weighted average of proxies -> (proxies, proxy_bias).
-
-    "awpa" weights client k's row for class c by its count for c over the
-    total count for c; a class with total count zero falls back to
-    sample-count weights.  "fedavg" is awpa with nothing counted, so it
-    uses sample-count weights throughout.
-    """
-    if mode not in PROXY_MODES:
-        raise ConfigError(f"unknown proxy aggregation '{mode}'")
-    updates = _check_updates(updates)
-    proxy_stack = np.stack([u.params.proxies for u in updates])  # (K, M, F)
-    bias_stack = np.stack([u.params.proxy_bias for u in updates])  # (K, M)
-    q = np.stack([np.asarray(u.edd, dtype=np.float64) for u in updates])
-    if mode == "fedavg":  # nothing counted: sample-count weights
-        q[...] = 0.0
-    totals = q.sum(axis=0)  # (M,)
-    weights = np.where(totals > 0, q / np.where(totals > 0, totals, 1.0),
-                       sample_weights(updates)[:, None])  # (K, M)
-    proxies = np.einsum("km,kmf->mf", weights, proxy_stack)
-    proxy_bias = (weights * bias_stack).sum(axis=0)
-    return proxies, proxy_bias
-
-
-def aggregate(updates: list[ClientUpdate],
-              proxy_mode: str = "awpa") -> nn.ModelParams:
-    params = aggregate_features(updates)
-    params.proxies[...], params.proxy_bias[...] = aggregate_proxies(
-        updates, proxy_mode)
-    return params
+    """The proxy layer of aggregate(updates, mode) -> (proxies, proxy_bias)."""
+    params = aggregate(updates, mode)
+    return params.proxies, params.proxy_bias
 
 
 def evaluate(params: nn.ModelParams, dataset: EvalSet,

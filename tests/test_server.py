@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from fedlsm import nn
-from fedlsm.client import ClientConfig, ClientUpdate
+from fedlsm import nn, server
+from fedlsm.client import ClientConfig, ClientUpdate, local_train
 from fedlsm.data import EvalSet, FederationConfig, gen_federation
 from fedlsm.errors import AggregationError, ConfigError
-from fedlsm.server import (aggregate, aggregate_features, aggregate_proxies,
+from fedlsm.server import (_check_updates, aggregate, aggregate_proxies,
                            evaluate, run_federation)
 
 
@@ -27,7 +27,7 @@ def test_single_client_aggregation_is_identity():
 def test_feature_aggregation_weighting_oracle():
     a = make_update(0, 1, [1.0, 1.0], seed=1)
     b = make_update(1, 3, [1.0, 1.0], seed=2)
-    layers = aggregate_features([a, b]).layers
+    layers = aggregate([a, b]).layers
     expected = 0.25 * a.params.layers[0][0] + 0.75 * b.params.layers[0][0]
     assert np.allclose(layers[0][0], expected)
 
@@ -146,19 +146,112 @@ def test_aggregated_params_stay_in_convex_hull():
 def test_aggregation_errors_name_the_client():
     good = make_update(0, 2, [1.0, 1.0], seed=1)
     with pytest.raises(AggregationError):
-        aggregate_features([])
+        aggregate([])
     bad_shape = make_update(7, 2, [1.0, 1.0], seed=2, dims=(3, 5))
     with pytest.raises(AggregationError, match="client 7"):
-        aggregate_features([good, bad_shape])
+        aggregate([good, bad_shape])
     bad_n = make_update(3, 0, [1.0, 1.0], seed=3)
     with pytest.raises(AggregationError, match="client 3"):
-        aggregate_features([good, bad_n])
+        aggregate([good, bad_n])
     bad_edd = make_update(4, 2, [-1.0, 1.0], seed=4)
     with pytest.raises(AggregationError, match="client 4"):
         aggregate_proxies([good, bad_edd])
     wrong_len = make_update(5, 2, [1.0, 1.0, 1.0], seed=5)
     with pytest.raises(AggregationError, match="client 5"):
         aggregate_proxies([good, wrong_len])
+
+
+def test_a_repeated_client_id_is_rejected():
+    a = make_update(0, 2, [1.0, 1.0], seed=1)
+    copy_of_a = ClientUpdate(client_id=0, params=a.params.like(
+        a.params.flat.copy()), n_samples=a.n_samples, edd=a.edd.copy())
+    b = make_update(1, 2, [1.0, 1.0], seed=2)
+    for mode in ("awpa", "fedavg"):
+        with pytest.raises(AggregationError,
+                           match="client 0: more than one update"):
+            aggregate([a, b, copy_of_a], proxy_mode=mode)
+
+
+def test_aggregate_checks_the_updates_once(monkeypatch):
+    calls = []
+
+    def counting(updates):
+        calls.append(len(updates))
+        return _check_updates(updates)
+
+    monkeypatch.setattr(server, "_check_updates", counting)
+    updates = [make_update(i, 2 + i, [1.0, i], seed=i) for i in range(3)]
+    aggregate(updates, proxy_mode="awpa")
+    assert calls == [3]
+
+
+def reference_aggregate(updates, proxy_mode):
+    """Two-pass aggregation that one weighted average replaced: a sample-
+    weighted average of the whole vector, then its proxy layer overwritten
+    by the per-class weighted average."""
+    def sample_weights(updates):
+        counts = np.array([u.n_samples for u in updates], dtype=np.float64)
+        return counts / counts.sum()
+
+    def aggregate_features(updates):
+        updates = _check_updates(updates)
+        w = sample_weights(updates)
+        return updates[0].params.like(
+            sum(wk * u.params.flat for wk, u in zip(w, updates)))
+
+    def aggregate_proxies(updates, mode="awpa"):
+        updates = _check_updates(updates)
+        proxy_stack = np.stack([u.params.proxies for u in updates])
+        bias_stack = np.stack([u.params.proxy_bias for u in updates])
+        q = np.stack([np.asarray(u.edd, dtype=np.float64) for u in updates])
+        if mode == "fedavg":
+            q[...] = 0.0
+        totals = q.sum(axis=0)
+        weights = np.where(totals > 0, q / np.where(totals > 0, totals, 1.0),
+                           sample_weights(updates)[:, None])
+        proxies = np.einsum("km,kmf->mf", weights, proxy_stack)
+        proxy_bias = (weights * bias_stack).sum(axis=0)
+        return proxies, proxy_bias
+
+    params = aggregate_features(updates)
+    params.proxies[...], params.proxy_bias[...] = aggregate_proxies(
+        updates, proxy_mode)
+    return params
+
+
+@pytest.mark.parametrize("proxy_mode", ["awpa", "fedavg"])
+@pytest.mark.parametrize("task", ["single", "multi"])
+def test_aggregate_matches_two_pass_reference_on_trained_updates(task,
+                                                                proxy_mode):
+    fed = tiny_federation(task=task)
+    cfg = quick_client_cfg()
+    params = nn.init_params([4, 6], 3, seed=0)
+    for r in range(2):
+        updates = [local_train(params, data, spec, cfg, r, 0)
+                   for spec, data in zip(fed.specs, fed.clients)]
+        assert any(u.edd.any() for u in updates)
+        params = aggregate(updates, proxy_mode)
+        want = reference_aggregate(updates, proxy_mode)
+        assert params.flat.tobytes() == want.flat.tobytes()
+
+
+@pytest.mark.parametrize("proxy_mode", ["awpa", "fedavg"])
+@pytest.mark.parametrize("k", [1, 5, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_aggregate_matches_two_pass_reference_exactly(proxy_mode, k, seed):
+    rng = np.random.default_rng(seed)
+    m = 6
+    edd = rng.integers(0, 40, size=(k, m)) * (rng.random((k, m)) < 0.6)
+    edd[:, rng.integers(m)] = 0  # nobody counted
+    updates = []
+    for i in rng.permutation(k):
+        u = make_update(int(i), int(rng.integers(1, 500)), edd[i] * 0.5,
+                        seed=seed * 100 + int(i), dims=(4, 6, 5), m=m)
+        u.params.flat[:] = rng.normal(size=u.params.flat.size)
+        updates.append(u)
+    got = aggregate(updates, proxy_mode)
+    want = reference_aggregate(updates, proxy_mode)
+    assert got.flat.tobytes() == want.flat.tobytes()
 
 
 def tiny_federation(seed=0, task="single"):
