@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .client import loss_identified, loss_ude, loss_unknown
 from .config import (ExperimentConfig, apply_overrides, config_from_dict,
-                     data_fingerprint, load_config)
+                     data_fingerprint, load_config, read_json)
 from .data import gen_federation
 from .errors import ConfigError, NumericError, ParseError
 from .server import run_federation
@@ -121,23 +121,6 @@ def cmd_run(args) -> int:
 
 # ---------------------------------------------------------------- compare
 
-def _text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text") from e
-
-
-def _json(text: str, path: Path, line: int = 0):
-    """Parsed text; a ParseError names path:line (the line within text
-    when line is 0)."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{line or e.lineno}: invalid JSON: "
-                         f"{e.msg}") from e
-
-
 def _field(obj, dotted: str, kind, where):
     """obj[a][b]... for dotted key a.b..., which must hold a `kind`."""
     for key in dotted.split("."):
@@ -153,7 +136,7 @@ def _load_run(path: Path):
     run_file = path / "run.json"
     if not run_file.is_file():
         raise ConfigError(f"{path}: not a run directory (missing run.json)")
-    record = _json(_text(run_file), run_file)
+    record = read_json(run_file)
     seeds = _field(record, "config.seeds", list, run_file)
     _field(record, "config.mode", str, run_file)
     _field(record, "data_fingerprint", str, run_file)
@@ -164,8 +147,7 @@ def _load_run(path: Path):
         seed_file = path / f"seed{s}.jsonl"
         if not seed_file.is_file():
             raise ConfigError(f"{path}: missing report for seed {s}")
-        reports = [_json(line, seed_file, i) for i, line
-                   in enumerate(_text(seed_file).splitlines(), 1)][1:]
+        reports = read_json(seed_file, lines=True)[1:]
         if not reports:
             raise ConfigError(f"{seed_file}: no round reports")
         for i, rep in enumerate(reports, 2):

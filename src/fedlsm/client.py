@@ -58,34 +58,33 @@ class ClientConfig:
     frac_h: float = 0.1
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
-    def validate(self, path: str = "client") -> None:
+    def validate(self) -> None:
         if self.local_iters < 0:
-            raise ConfigError(f"{path}: local_iters must be >= 0")
+            raise ConfigError("client: local_iters must be >= 0")
         if self.batch_size < 1:
-            raise ConfigError(f"{path}: batch_size must be >= 1")
+            raise ConfigError("client: batch_size must be >= 1")
         if not 0.0 < self.tau_n < self.tau_p < 1.0:
-            raise ConfigError(f"{path}: need 0 < tau_n < tau_p < 1")
+            raise ConfigError("client: need 0 < tau_n < tau_p < 1")
         if not 0.0 < self.tau_ln < self.tau_lp < 1.0:
-            raise ConfigError(f"{path}: need 0 < tau_ln < tau_lp < 1")
+            raise ConfigError("client: need 0 < tau_ln < tau_lp < 1")
         if not 0.0 < self.tau_l < self.tau:
-            raise ConfigError(f"{path}: need 0 < tau_l < tau")
+            raise ConfigError("client: need 0 < tau_l < tau")
         if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"{path}: need tau in (0, 1)")
+            raise ConfigError("client: need tau in (0, 1)")
         if not 0 <= self.ude_batch_size <= self.batch_size:
-            raise ConfigError(
-                f"{path}: need 0 <= ude_batch_size <= batch_size")
+            raise ConfigError("client: need 0 <= ude_batch_size <= batch_size")
         for name in ("mixup_alpha", "lr"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{path}: {name} must be finite and > 0")
+                raise ConfigError(f"client: {name} must be finite and > 0")
         for name in ("ude_weight", "lr_decay"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{path}: {name} must be finite and >= 0")
+                raise ConfigError(f"client: {name} must be finite and >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
-            raise ConfigError(f"{path}: ema_decay must be in [0, 1]")
+            raise ConfigError("client: ema_decay must be in [0, 1]")
         if self.frac_l < 0 or self.frac_h < 0 or \
                 not self.frac_l + self.frac_h <= 1:
-            raise ConfigError(f"{path}: need frac_l + frac_h <= 1")
-        self.augment.validate(f"{path}.augment")
+            raise ConfigError("client: need frac_l + frac_h <= 1")
+        self.augment.validate()
 
     def lr_at(self, round_idx: int) -> float:
         """The learning rate of round round_idx: lr / (1 + lr_decay * t)."""

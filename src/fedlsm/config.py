@@ -1,7 +1,7 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
-The file format is strict: unknown keys fail with their dotted path, as
-do type mismatches.  Dotted overrides (client.lr=0.001) patch the raw
+The file format is strict: unknown keys, type mismatches, repeated keys
+and NaN fail by name.  Dotted overrides (client.lr=0.001) patch the raw
 dict before validation so they go through the same checks.
 """
 
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
 from .client import ClientConfig
 from .data import FederationConfig
@@ -51,8 +53,8 @@ class ExperimentConfig:
                 self.proxy_aggregation not in PROXY_MODES:
             raise ConfigError("proxy_aggregation: must be null, 'awpa' "
                               "or 'fedavg'")
-        self.federation.validate("federation")
-        self.client.validate("client")
+        self.federation.validate()
+        self.client.validate()
 
 
 _SCALAR = {int: "an integer", float: "a number", str: "a string",
@@ -110,17 +112,50 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str) -> dict:
-    """Raw config dict from a JSON file (overrides apply before building)."""
+def _object(pairs: list) -> dict:
+    """A JSON object, refusing a key it repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _finite(value, key: str = ""):
+    """value, refusing a NaN or infinity within it by its dotted key."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key or 'value'}: not a finite number")
+    for k, v in (value.items() if isinstance(value, dict) else
+                 enumerate(value) if isinstance(value, list) else ()):
+        _finite(v, f"{key}.{k}" if key else str(k))
+    return value
+
+
+def read_json(path, lines: bool = False):
+    """The JSON value in the UTF-8 file at path, or with lines=True one per
+    line.  NaN, infinities and a key repeated within an object are refused:
+    a ParseError names the file, the line (with lines=True) and the key."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from e
+    values = []
+    for line, doc in enumerate(text.splitlines(), 1) if lines else [(0, text)]:
+        try:
+            values.append(_finite(json.loads(doc, object_pairs_hook=_object)))
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{line or e.lineno}: invalid JSON: {e.msg}") from e
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}{f':{line}' if line else ''}: {e}") from e
+    return values if lines else values[0]
+
+
+def load_config(path: str) -> dict:
+    """Raw config dict from a JSON file (overrides apply before building)."""
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return d

@@ -96,12 +96,12 @@ class AugmentConfig:
     scale_jitter: float = 0.1
     drop_prob: float = 0.05
 
-    def validate(self, path: str = "client.augment") -> None:
+    def validate(self) -> None:
         for name in ("sigma_weak", "sigma_strong", "scale_jitter"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{path}: {name} must be finite and >= 0")
+                raise ConfigError(f"client.augment: {name} must be finite and >= 0")
         if not 0.0 <= self.drop_prob < 1.0:
-            raise ConfigError(f"{path}: need 0 <= drop_prob < 1")
+            raise ConfigError("client.augment: need 0 <= drop_prob < 1")
 
 
 @dataclass
@@ -119,33 +119,38 @@ class FederationConfig:
     positive_rate: float = 0.3  # multi-label per-class positive fraction
     seed: int = 0
 
-    def validate(self, path: str = "federation") -> None:
+    def validate(self) -> None:
         if self.n_clients < 2:
-            raise ConfigError(f"{path}.n_clients: need >= 2, got {self.n_clients}")
+            raise ConfigError(f"federation.n_clients: need >= 2, got {self.n_clients}")
         if self.n_classes < 2:
-            raise ConfigError(f"{path}.n_classes: need >= 2, got {self.n_classes}")
+            raise ConfigError(f"federation.n_classes: need >= 2, got {self.n_classes}")
         if not 1 <= self.classes_per_client <= self.n_classes:
             raise ConfigError(
-                f"{path}.classes_per_client: need 1..{self.n_classes}, "
+                f"federation.classes_per_client: need 1..{self.n_classes}, "
                 f"got {self.classes_per_client}")
-        check_task(self.task, f"{path}.task:")
+        check_task(self.task, "federation.task:")
         if self.feature_dim < 1:
-            raise ConfigError(f"{path}.feature_dim: need >= 1")
+            raise ConfigError("federation.feature_dim: need >= 1")
         if self.samples_per_client < 1:
-            raise ConfigError(f"{path}.samples_per_client: need >= 1")
+            raise ConfigError("federation.samples_per_client: need >= 1")
         if self.n_val < 0:
-            raise ConfigError(f"{path}.n_val: need >= 0")
+            raise ConfigError("federation.n_val: need >= 0")
         if self.n_test < 1:
-            raise ConfigError(f"{path}.n_test: need >= 1")
+            raise ConfigError("federation.n_test: need >= 1")
         if not 0.0 < self.cluster_std < math.inf:
-            raise ConfigError(f"{path}.cluster_std: need finite > 0, "
+            raise ConfigError("federation.cluster_std: need finite > 0, "
                               f"got {self.cluster_std}")
         if not 0.0 <= self.cluster_sep < math.inf:
-            raise ConfigError(f"{path}.cluster_sep: need finite >= 0, "
+            raise ConfigError("federation.cluster_sep: need finite >= 0, "
                               f"got {self.cluster_sep}")
         if not 0.0 < self.positive_rate < 1.0:
-            raise ConfigError(f"{path}.positive_rate: need (0, 1), "
+            raise ConfigError("federation.positive_rate: need (0, 1), "
                               f"got {self.positive_rate}")
+        if self.classes_per_client * self.n_clients < self.n_classes:
+            raise ConfigError(
+                "federation.classes_per_client: class coverage unsatisfiable: "
+                f"{self.n_clients} clients x {self.classes_per_client} classes "
+                f"cannot cover {self.n_classes} classes")
 
 
 @dataclass
@@ -172,38 +177,13 @@ def _class_directions(n_classes: int, dim: int, rng: np.random.Generator) -> np.
 def _sample_identified_sets(cfg: FederationConfig,
                             rng: np.random.Generator) -> list[tuple[int, ...]]:
     # Resample the whole assignment until every class is identified somewhere.
-    if cfg.classes_per_client * cfg.n_clients < cfg.n_classes:
-        raise ConfigError("class coverage unsatisfiable: "
-                          f"{cfg.n_clients} clients x {cfg.classes_per_client} "
-                          f"classes cannot cover {cfg.n_classes} classes")
     for _ in range(COVERAGE_ATTEMPTS):
         sets = [tuple(sorted(rng.choice(cfg.n_classes, cfg.classes_per_client,
                                         replace=False).tolist()))
                 for _ in range(cfg.n_clients)]
-        covered = set()
-        for s in sets:
-            covered.update(s)
-        if len(covered) == cfg.n_classes:
+        if len(set().union(*sets)) == cfg.n_classes:
             return sets
     raise ConfigError("class coverage unsatisfiable: resampling budget exhausted")
-
-
-def _draw_single_label(n: int, centers: np.ndarray, cfg: FederationConfig,
-                       rng: np.random.Generator) -> EvalSet:
-    classes = rng.integers(0, cfg.n_classes, size=n)
-    xs = centers[classes] + cfg.cluster_std * rng.standard_normal((n, cfg.feature_dim))
-    truth = np.zeros((n, cfg.n_classes))
-    truth[np.arange(n), classes] = 1.0
-    return EvalSet(x=xs, truth=truth)
-
-
-def _draw_multi_label(n: int, directions: np.ndarray, threshold: float,
-                      cfg: FederationConfig,
-                      rng: np.random.Generator) -> EvalSet:
-    xs = rng.standard_normal((n, cfg.feature_dim))
-    projections = xs @ directions.T
-    return EvalSet(x=xs,
-                   truth=(projections >= threshold).astype(np.float64))
 
 
 def gen_federation(cfg: FederationConfig) -> Federation:
@@ -215,33 +195,31 @@ def gen_federation(cfg: FederationConfig) -> Federation:
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-
-    identified_sets = _sample_identified_sets(cfg, rng)
-    specs = []
-    for k, ident in enumerate(identified_sets):
-        unknown = tuple(c for c in range(cfg.n_classes) if c not in ident)
-        specs.append(ClientSpec(client_id=k, identified=ident,
-                                unknown=unknown, task=cfg.task))
-
+    m, d = cfg.n_classes, cfg.feature_dim
+    specs = [ClientSpec(client_id=k, identified=ident, task=cfg.task,
+                        unknown=tuple(c for c in range(m) if c not in ident))
+             for k, ident in enumerate(_sample_identified_sets(cfg, rng))]
+    directions = _class_directions(m, d, rng)
     if cfg.task == "single":
-        centers = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
         # Orthonormal rows scaled so pairwise center distance = cluster_sep * std.
-        centers = centers * (cfg.cluster_sep * cfg.cluster_std / np.sqrt(2.0))
+        centers = directions * (cfg.cluster_sep * cfg.cluster_std / np.sqrt(2.0))
 
         def draw(n):
-            return _draw_single_label(n, centers, cfg, rng)
+            classes = rng.integers(0, m, size=n)
+            xs = centers[classes] + cfg.cluster_std * rng.standard_normal((n, d))
+            return EvalSet(x=xs, truth=np.eye(m)[classes])
     else:
-        directions = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
         # AS241's normal quantile: +inf when 1 - rate rounds to 1.0, so
         # no row is positive and the test-set check below refuses it.
         threshold = ndtri(1.0 - cfg.positive_rate)
 
         def draw(n):
-            return _draw_multi_label(n, directions, threshold, cfg, rng)
+            xs = rng.standard_normal((n, d))
+            return EvalSet(x=xs, truth=(xs @ directions.T >= threshold
+                                        ).astype(np.float64))
 
     full = [draw(cfg.samples_per_client) for _ in specs]
-    clients = [mask_labels(f.x, f.truth, spec)
-               for f, spec in zip(full, specs)]
+    clients = [mask_labels(f.x, f.truth, spec) for f, spec in zip(full, specs)]
     val = draw(cfg.n_val)
     test = draw(cfg.n_test)
     if not (test.truth.min(axis=0) < test.truth.max(axis=0)).any():

@@ -226,6 +226,48 @@ def test_compare_rejects_non_json_report_line(finished_run, capsys):
         finished_run, capsys)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_compare_refuses_a_non_finite_metric(tmp_path, capsys, value):
+    # json.dumps writes NaN and Infinity, which are not JSON; no run does.
+    write_run(tmp_path / "a", "fedavg_masked", {0: 0.5})
+    write_run(tmp_path / "b", "fedlsm", {0: value})
+    out = tmp_path / "cmp"
+    assert run_cli("compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                   "--output-dir", str(out)) == 1
+    seed_file = tmp_path / "b" / "seed0.jsonl"
+    assert capsys.readouterr().err == (
+        f"error: {seed_file}:2: macro_auc: not a finite number\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ('{"config":', '{"data_fingerprint":"0","config":', "data_fingerprint"),
+    ('"mode":"fedlsm"', '"mode":"fedavg_full","mode":"fedlsm"', "mode")],
+    ids=["top-level", "nested"])
+def test_compare_refuses_a_repeated_key_in_run_json(finished_run, capsys,
+                                                    old, new, key):
+    run_json = finished_run / "run.json"
+    text = run_json.read_text()
+    assert old in text
+    run_json.write_text(text.replace(old, new, 1))
+    assert compare_error(finished_run, capsys) == (
+        f"error: {run_json}: repeated key {key!r}\n")
+    assert not (finished_run / "cmp").exists()
+
+
+def test_run_refuses_a_repeated_key_in_the_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    text = json.dumps(TINY)
+    assert '"rounds": 2' in text
+    path.write_text(text.replace('"rounds": 2', '"rounds": 1, "rounds": 2'))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--output-dir", str(out),
+                   "--quiet") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: repeated key 'rounds'\n")
+    assert not out.exists()
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
     | st.text(max_size=5),

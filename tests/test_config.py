@@ -140,6 +140,44 @@ def test_load_config_errors(tmp_path):
         load_config(str(arr))
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"version": 1, "client": {"lr": NaN}}', "client.lr: not a finite number"),
+    ('{"version": 1, "client": {"lr": -Infinity}}',
+     "client.lr: not a finite number"),
+    ('{"version": 1, "rounds": 1e999}', "rounds: not a finite number"),
+    ('{"version": 1, "seeds": [0, Infinity]}', "seeds.1: not a finite number"),
+    ('{"version": 1, "rounds": 1, "rounds": 2}', "repeated key 'rounds'"),
+    ('{"version": 1, "client": {"augment": {"drop_prob": 0.1,\n'
+     '"drop_prob": 0.2}}}', "repeated key 'drop_prob'")],
+    ids=["nan", "minus-infinity", "overflow", "infinity-in-a-list",
+         "repeated-key", "repeated-nested-key"])
+def test_load_config_refuses_what_json_lets_through(tmp_path, text, message):
+    # Python's json reads NaN and Infinity and keeps a repeated key's last
+    # value; neither is a config anyone meant.
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_config_refuses_nesting_too_deep_to_parse(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "x": ' + "[" * 100_000 + "]" * 100_000
+                    + "}")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+        load_config(str(path))
+
+
+def test_an_uncoverable_assignment_is_refused_at_load():
+    d = {"version": 1, "federation": {"n_clients": 2, "n_classes": 5,
+                                      "classes_per_client": 2}}
+    with pytest.raises(ConfigError, match="^federation.classes_per_client: "
+                       "class coverage unsatisfiable: 2 clients x 2 classes "
+                       "cannot cover 5 classes$"):
+        config_from_dict(d)
+
+
 config_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 100) | st.floats()
     | st.text(max_size=5),

@@ -1,5 +1,6 @@
 """Synthetic federations, label masking, augmentation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from scipy import special
 from scipy.stats import norm
 
 from fedlsm import data
-from fedlsm.data import (AugmentConfig, ClientSpec, FederationConfig,
-                         augment_strong_batch, augment_weak_batch,
-                         gen_federation, mask_labels, unmask_labels)
+from fedlsm.data import (COVERAGE_ATTEMPTS, AugmentConfig, ClientSpec,
+                         EvalSet, Federation, FederationConfig,
+                         _class_directions, augment_strong_batch,
+                         augment_weak_batch, gen_federation, mask_labels,
+                         ndtri, unmask_labels)
 from fedlsm.errors import ConfigError
 
 
@@ -258,17 +261,22 @@ def test_unscorable_test_set_is_a_config_error(n_test, seed):
 def test_the_test_set_check_draws_no_random_numbers(monkeypatch):
     # The test set is the last draw; the check after it reads labels
     # only, so the generator ends where that draw left it.
-    states, draw = [], data._draw_single_label
+    rngs, states = [], []
+    make_rng, make_set = np.random.default_rng, data.EvalSet
 
-    def spy(n, centers, cfg, rng):
-        out = draw(n, centers, cfg, rng)
-        states.append((rng, rng.bit_generator.state))
-        return out
+    def spy_rng(seed):
+        rngs.append(make_rng(seed))
+        return rngs[-1]
 
-    monkeypatch.setattr(data, "_draw_single_label", spy)
+    def spy_set(**arrays):
+        states.append(rngs[-1].bit_generator.state)
+        return make_set(**arrays)
+
+    monkeypatch.setattr(np.random, "default_rng", spy_rng)
+    monkeypatch.setattr(data, "EvalSet", spy_set)
     fed = gen_federation(tiny_cfg())
-    rng, after_test_draw = states[-1]
-    assert rng.bit_generator.state == after_test_draw
+    assert len(rngs) == 1 and len(states) == 3 + 2  # clients, val, test
+    assert rngs[0].bit_generator.state == states[-1]
     assert len(fed.test) == 30
 
 
@@ -290,3 +298,141 @@ def test_augment_config_validation(field, value):
 def test_augment_config_rejects_non_finite_scales(field, value):
     with pytest.raises(ConfigError, match=f"^client.augment: {field}"):
         AugmentConfig(**{field: value}).validate()
+
+
+# ------------------------------------ one draw closure vs the parent's helpers
+#
+# reference_gen_federation is generation as it was before each task drew
+# in one closure: two forwarding draw helpers, _class_directions called in
+# each task branch, and a coverage precheck inside _sample_identified_sets.
+# It and its helpers are kept verbatim.  Generation must give the same
+# arrays and specs byte for byte, and refuse the same configs.
+
+def _reference_sample_identified_sets(cfg: FederationConfig,
+                                      rng: np.random.Generator
+                                      ) -> list[tuple[int, ...]]:
+    # Resample the whole assignment until every class is identified somewhere.
+    if cfg.classes_per_client * cfg.n_clients < cfg.n_classes:
+        raise ConfigError("class coverage unsatisfiable: "
+                          f"{cfg.n_clients} clients x {cfg.classes_per_client} "
+                          f"classes cannot cover {cfg.n_classes} classes")
+    for _ in range(COVERAGE_ATTEMPTS):
+        sets = [tuple(sorted(rng.choice(cfg.n_classes, cfg.classes_per_client,
+                                        replace=False).tolist()))
+                for _ in range(cfg.n_clients)]
+        covered = set()
+        for s in sets:
+            covered.update(s)
+        if len(covered) == cfg.n_classes:
+            return sets
+    raise ConfigError("class coverage unsatisfiable: resampling budget exhausted")
+
+
+def _reference_draw_single_label(n: int, centers: np.ndarray,
+                                 cfg: FederationConfig,
+                                 rng: np.random.Generator) -> EvalSet:
+    classes = rng.integers(0, cfg.n_classes, size=n)
+    xs = centers[classes] + cfg.cluster_std * rng.standard_normal((n, cfg.feature_dim))
+    truth = np.zeros((n, cfg.n_classes))
+    truth[np.arange(n), classes] = 1.0
+    return EvalSet(x=xs, truth=truth)
+
+
+def _reference_draw_multi_label(n: int, directions: np.ndarray,
+                                threshold: float, cfg: FederationConfig,
+                                rng: np.random.Generator) -> EvalSet:
+    xs = rng.standard_normal((n, cfg.feature_dim))
+    projections = xs @ directions.T
+    return EvalSet(x=xs,
+                   truth=(projections >= threshold).astype(np.float64))
+
+
+def reference_gen_federation(cfg: FederationConfig) -> Federation:
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+
+    identified_sets = _reference_sample_identified_sets(cfg, rng)
+    specs = []
+    for k, ident in enumerate(identified_sets):
+        unknown = tuple(c for c in range(cfg.n_classes) if c not in ident)
+        specs.append(ClientSpec(client_id=k, identified=ident,
+                                unknown=unknown, task=cfg.task))
+
+    if cfg.task == "single":
+        centers = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
+        # Orthonormal rows scaled so pairwise center distance = cluster_sep * std.
+        centers = centers * (cfg.cluster_sep * cfg.cluster_std / np.sqrt(2.0))
+
+        def draw(n):
+            return _reference_draw_single_label(n, centers, cfg, rng)
+    else:
+        directions = _class_directions(cfg.n_classes, cfg.feature_dim, rng)
+        # AS241's normal quantile: +inf when 1 - rate rounds to 1.0, so
+        # no row is positive and the test-set check below refuses it.
+        threshold = ndtri(1.0 - cfg.positive_rate)
+
+        def draw(n):
+            return _reference_draw_multi_label(n, directions, threshold, cfg,
+                                               rng)
+
+    full = [draw(cfg.samples_per_client) for _ in specs]
+    clients = [mask_labels(f.x, f.truth, spec)
+               for f, spec in zip(full, specs)]
+    val = draw(cfg.n_val)
+    test = draw(cfg.n_test)
+    if not (test.truth.min(axis=0) < test.truth.max(axis=0)).any():
+        raise ConfigError(f"federation.n_test: {cfg.n_test} test samples "
+                          "leave no class with both positives and "
+                          "negatives, so no macro AUC can be scored")
+    return Federation(specs=specs, clients=clients,
+                      truth=[f.truth for f in full], val=val, test=test,
+                      config=cfg)
+
+
+def federation_arrays(fed: Federation) -> list:
+    """Every array of fed, each as (dtype, shape, bytes)."""
+    arrays = [fed.val.x, fed.val.truth, fed.test.x, fed.test.truth, *fed.truth]
+    for client in fed.clients:
+        arrays += [client.x, client.values, client.known]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def build(gen, cfg):
+    """gen(cfg), or the type and message of the ConfigError it raises."""
+    try:
+        return gen(cfg)
+    except ConfigError as e:
+        return type(e), str(e)
+
+
+# (n_clients, classes_per_client) pairs; the ones whose product is below
+# n_classes cannot cover every class.
+ASSIGNMENTS = [(2, 1), (3, 2), (5, 3), (5, 8)]
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+@pytest.mark.parametrize("n_classes", [2, 3, 7, 20])
+def test_generation_matches_the_parent_byte_for_byte(task, n_classes):
+    # feature_dim 1 and 4 put n_classes > dim (random unit rows) beside
+    # the orthonormal branch; n_val 0 draws an empty validation set.
+    built = refused = 0
+    for dim, n_val, seed, (n_clients, per_client) in itertools.product(
+            (1, 4, 16), (0, 7), range(3), ASSIGNMENTS):
+        cfg = FederationConfig(
+            n_clients=n_clients, n_classes=n_classes,
+            classes_per_client=min(per_client, n_classes), feature_dim=dim,
+            task=task, samples_per_client=9, n_val=n_val, n_test=12,
+            seed=seed)
+        got = build(gen_federation, cfg)
+        want = build(reference_gen_federation, cfg)
+        if isinstance(want, Federation):
+            built += 1
+            assert isinstance(got, Federation), (cfg, got)
+            assert got.specs == want.specs
+            assert federation_arrays(got) == federation_arrays(want)
+        elif "coverage" in want[1]:
+            refused += 1
+            assert got[0] is want[0] and "coverage" in got[1]
+        else:
+            assert got == want
+    assert built and (refused or n_classes == 2)

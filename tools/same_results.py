@@ -8,11 +8,13 @@ directory; the change side is this checkout's working tree.  Both run
 round settings (bench/workloads.py) for seeds 0 and 1, on both tasks and
 in every arm the acceptance gates train: the three modes, then fedlsm
 without MixUp (client.ude_weight=0) and with sample-count proxies
-(proxy_aggregation=fedavg).  Every output file except meta.json is
-compared byte for byte.  For a JSON or JSONL file that differs, each
-differing field path is printed with its largest relative difference
-over lines, clients and rounds ("differs" for a missing or non-numeric
-field).  Exits 1 on any difference.
+(proxy_aggregation=fedavg).  Then each tree runs `fedlsm compare` of
+fedavg_masked against fedlsm on each task, so compare.csv and curves.csv
+are checked too.  Every output file except meta.json is compared byte
+for byte.  For a JSON or JSONL file that differs, each differing field
+path is printed with its largest relative difference over lines,
+clients and rounds ("differs" for a missing or non-numeric field).
+Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -110,29 +112,39 @@ def jsonl_diffs(text_a: str, text_b: str) -> dict[str, float]:
                        [json.loads(line) for line in text_b.splitlines()])
 
 
-def run_all(trees: dict[str, Path], out: Path, config: Path) -> None:
-    """Every (task, arm) run on every tree, the trees side by side."""
+def run_sides(trees: dict[str, Path], argv, label: str) -> None:
+    """`python -m fedlsm.cli *argv(side)` on every tree, side by side."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    procs = []
+    for side, tree in trees.items():
+        cmd = [sys.executable, "-m", "fedlsm.cli", *argv(side)]
+        procs.append((side, subprocess.Popen(
+            cmd, cwd=tree, env=dict(env, PYTHONPATH=str(tree / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)))
+    for side, proc in procs:
+        _, err = proc.communicate()
+        if proc.returncode != 0:
+            raise RuntimeError(f"{side} {label}: exit {proc.returncode}\n{err}")
+    print(f"ran {label}", flush=True)
+
+
+def run_all(trees: dict[str, Path], out: Path, config: Path) -> None:
+    """Every (task, arm) run, then each task's fedavg_masked-vs-fedlsm
+    compare, on every tree."""
     for task in TASKS:
         for arm, sets in ARMS.items():
-            procs = []
-            for side, tree in trees.items():
-                cmd = [sys.executable, "-m", "fedlsm.cli", "run",
-                       "--config", str(config),
-                       *(arg for s in sets for arg in ("--set", s)),
-                       "--set", f"federation.task={task}", "--output-dir",
-                       str(out / side / f"{task}_{arm}"), "--checkpoint",
-                       "--quiet"]
-                procs.append((side, subprocess.Popen(
-                    cmd, cwd=tree, env=dict(env, PYTHONPATH=str(tree / "src")),
-                    stderr=subprocess.PIPE, text=True)))
-            for side, proc in procs:
-                _, err = proc.communicate()
-                if proc.returncode != 0:
-                    raise RuntimeError(f"{side} {task} {arm}: exit "
-                                       f"{proc.returncode}\n{err}")
-            print(f"ran {task} {arm}", flush=True)
+            run_sides(trees, lambda side: [
+                "run", "--config", str(config),
+                *(arg for s in sets for arg in ("--set", s)),
+                "--set", f"federation.task={task}", "--output-dir",
+                str(out / side / f"{task}_{arm}"), "--checkpoint", "--quiet"],
+                f"{task} {arm}")
+    for task in TASKS:
+        run_sides(trees, lambda side: [
+            "compare", str(out / side / f"{task}_fedavg_masked"),
+            str(out / side / f"{task}_fedlsm"), "--output-dir",
+            str(out / side / f"{task}_compare")], f"{task} compare")
 
 
 def compare_trees(a: Path, b: Path) -> int:
