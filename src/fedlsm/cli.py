@@ -152,7 +152,10 @@ def _load_run(path: Path):
             raise ConfigError(f"{seed_file}: no round reports")
         for i, rep in enumerate(reports, 2):
             for metric in SUMMARY_METRICS:
-                _field(rep, metric, (int, float), f"{seed_file}:{i}")
+                value = _field(rep, metric, (int, float), f"{seed_file}:{i}")
+                if abs(value) > sys.float_info.max:  # an int beyond floats
+                    raise ParseError(f"{seed_file}:{i}: {metric}: not a "
+                                     "finite number")
         curves[s] = reports
     return record, curves
 

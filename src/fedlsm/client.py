@@ -33,6 +33,7 @@ from .errors import ConfigError, NumericError
 from .uncertainty import UncertaintyPartition, partition
 
 UDE_CANDIDATES_PER_PAIR = 4
+CLASS_WEIGHT_MAX = 100.0
 
 
 @dataclass
@@ -106,18 +107,6 @@ class PseudoLabelDecision:
     klass: np.ndarray | None = None
     state: np.ndarray | None = None
 
-    def masks(self, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(positive, negative) (n, m) masks of the verdicts on rows with
-        trust mask `known`.  A kept single-label verdict counts only on a
-        row with no known label: positive on klass, negative elsewhere.
-        Multi-label verdicts pass through."""
-        if self.state is not None:
-            return self.state == 1, self.state == -1
-        kept = self.kept & ~known.any(axis=1)
-        pos = kept[:, None] & (self.klass[:, None]
-                               == np.arange(known.shape[1]))
-        return pos, kept[:, None] & ~pos
-
 
 @dataclass
 class ClientUpdate:
@@ -136,35 +125,16 @@ def _draw_with_replacement(pool: np.ndarray, k: int,
     return pool[rng.integers(0, len(pool), size=k)]
 
 
-def _decide(logits: np.ndarray, unknown, task: str, hi,
-            lo) -> PseudoLabelDecision:
-    """The confident-verdict rule on teacher logits.
-
-    Single-label: keep a row whose max softmax probability is at least hi
-    and whose argmax class is locally unknown.  Multi-label: per unknown
-    class, +1 where the sigmoid is at least hi, -1 where at most lo.  The
-    thresholds are scalars or one value per row.
-    """
-    cols = np.zeros(logits.shape[1], dtype=bool)
-    cols[list(unknown)] = True
-    if task == "single":
-        probs = nn.softmax(logits)
-        klass = probs.argmax(axis=1)
-        kept = (probs[np.arange(len(probs)), klass] >= hi) & cols[klass]
-        return PseudoLabelDecision(kept=kept, klass=klass)
-    probs = nn.sigmoid(logits)
-    # lo < hi, so a class is never both confidently positive and negative
-    state = (cols & (probs >= np.reshape(hi, (-1, 1)))).astype(np.int8)
-    state -= cols & (probs <= np.reshape(lo, (-1, 1)))
-    return PseudoLabelDecision(state=state)
-
-
 def pseudo_single(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
                   threshold) -> PseudoLabelDecision:
     """Hard pseudo labels from one teacher softmax pass on a (batch, d)
     matrix of weak views; threshold is a scalar or one value per row."""
-    return _decide(nn.forward(teacher, x_weak).logits, unknown, "single",
-                   threshold, None)
+    probs = nn.softmax(nn.forward(teacher, x_weak).logits)
+    cols = np.zeros(probs.shape[1], dtype=bool)
+    cols[list(unknown)] = True
+    klass = probs.argmax(axis=1)
+    kept = (probs[np.arange(len(probs)), klass] >= threshold) & cols[klass]
+    return PseudoLabelDecision(kept=kept, klass=klass)
 
 
 def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
@@ -173,8 +143,13 @@ def pseudo_multi(teacher: nn.ModelParams, x_weak: np.ndarray, unknown,
     sigmoid pass; tau_p and tau_n are scalars or one value per row."""
     if not np.all(np.less(tau_n, tau_p)):
         raise ConfigError(f"need tau_n < tau_p, got {tau_n} >= {tau_p}")
-    return _decide(nn.forward(teacher, x_weak).logits, unknown, "multi",
-                   tau_p, tau_n)
+    probs = nn.sigmoid(nn.forward(teacher, x_weak).logits)
+    cols = np.zeros(probs.shape[1], dtype=bool)
+    cols[list(unknown)] = True
+    # tau_n < tau_p: a class is never both confidently positive and negative
+    state = (cols & (probs >= np.reshape(tau_p, (-1, 1)))).astype(np.int8)
+    state -= cols & (probs <= np.reshape(tau_n, (-1, 1)))
+    return PseudoLabelDecision(state=state)
 
 
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray, denom: int,
@@ -337,16 +312,17 @@ def ude_batch(data: ClientData, members: np.ndarray, lams: np.ndarray,
     return x_mix, y_mix, pair_ok[keep]
 
 
-def compute_class_weights(values: np.ndarray, known: np.ndarray, identified,
-                          clip_max: float = 100.0) -> np.ndarray:
-    """Positive-term BCE weights n_neg/n_pos from known labels, in [1, clip].
+def compute_class_weights(values: np.ndarray, known: np.ndarray,
+                          identified) -> np.ndarray:
+    """Positive-term BCE weights n_neg/n_pos from known labels, in
+    [1, CLASS_WEIGHT_MAX].
 
     values and known are (n, m) label values and trust mask; classes
     outside `identified` get weight 1.
     """
     n_pos = np.where(known, values, 0.0).sum(axis=0)
     n_neg = known.sum(axis=0) - n_pos
-    ratio = np.clip(n_neg / np.maximum(n_pos, 1.0), 1.0, clip_max)
+    ratio = np.clip(n_neg / np.maximum(n_pos, 1.0), 1.0, CLASS_WEIGHT_MAX)
     weights = np.ones(values.shape[1])
     cols = list(identified)
     weights[cols] = ratio[cols]
@@ -402,10 +378,9 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     # values are zero where not known; unknown-class counts come at the end
     edd = values.sum(axis=0)
     edd[list(spec.unknown)] = 0.0
-    class_weights = compute_class_weights(values, known, spec.identified) \
-        if spec.task == "multi" else None
 
     b = cfg.batch_size
+    labeled = known.any(axis=1)
     if use_pseudo:
         part = partition(x, global_params, spec.task, spec.unknown,
                          cfg.frac_l, cfg.frac_h)
@@ -416,16 +391,35 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
                               "uncertainty)")
         # MixUp off is zero candidate pairs: nothing drawn, no rows.
         n_mix = ude_candidates(known, part, cfg) if cfg.ude_weight > 0 else 0
-        # Per teacher row: the pseudo-label thresholds on the batch's weak
-        # views, then the relaxed ones on the 2 * n_mix MixUp members.
-        split = [b, 2 * n_mix]
-        if spec.task == "single":
-            hi = np.repeat([cfg.tau, cfg.tau_l], split)
-        else:
-            hi = np.repeat([cfg.tau_p, cfg.tau_lp], split)
-            lo = np.repeat([cfg.tau_n, cfg.tau_ln], split)
     else:
-        pool = np.flatnonzero(known.any(axis=1))
+        pool, n_mix = np.flatnonzero(labeled), 0
+    # Per teacher row: the pseudo-label thresholds on the batch's weak
+    # views, then the relaxed ones on the 2 * n_mix MixUp members.
+    split = [b, 2 * n_mix]
+
+    # Every task choice is made once per round: the class weights, the link
+    # and verdicts(x_teacher, rows), one teacher pass on weak views of the
+    # client's rows -> the (positive, negative) verdict masks.
+    if spec.task == "single":
+        class_weights, link_of = None, nn.log_softmax
+        hi = np.repeat([cfg.tau, cfg.tau_l], split)
+
+        def verdicts(x_teacher, rows):
+            dec = pseudo_single(teacher, x_teacher, spec.unknown, hi)
+            # Labeled samples belong to the supervised loss, never the
+            # pseudo loss.
+            kept = dec.kept & ~labeled[rows]
+            pos = kept[:, None] & (dec.klass[:, None] == np.arange(m))
+            return pos, kept[:, None] & ~pos
+    else:
+        class_weights = compute_class_weights(values, known, spec.identified)
+        link_of = nn.sigmoid
+        hi = np.repeat([cfg.tau_p, cfg.tau_lp], split)
+        lo = np.repeat([cfg.tau_n, cfg.tau_ln], split)
+
+        def verdicts(x_teacher, rows):
+            dec = pseudo_multi(teacher, x_teacher, spec.unknown, hi, lo)
+            return dec.state == 1, dec.state == -1
 
     epoch_iters = max(1, math.ceil(pool.size / b))
     edd_window_start = max(0, cfg.local_iters - epoch_iters)
@@ -449,14 +443,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             x_strong = augment_strong_batch(x_batch, rng, cfg.augment)
             members, views, lams = draw_mix(x, part, n_mix, cfg, rng)
             # One teacher pass labels the weak views and the MixUp members.
-            x_teacher = np.concatenate([x_weak, views])
-            if spec.task == "single":
-                dec = pseudo_single(teacher, x_teacher, spec.unknown, hi)
-            else:
-                dec = pseudo_multi(teacher, x_teacher, spec.unknown, hi, lo)
-            # Labeled samples belong to the supervised loss, never the
-            # pseudo loss.
-            pos, neg = dec.masks(known[np.concatenate([batch_idx, members])])
+            pos, neg = verdicts(np.concatenate([x_weak, views]),
+                                np.concatenate([batch_idx, members]))
             hits, negative = pos[:b], neg[:b]
             x_mix, y_mix, valid = ude_batch(data, members, lams, pos[b:],
                                             neg[b:], cfg)
@@ -466,8 +454,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         # loss on its rows.
         cache = nn.forward(student, x_student)
         logits = cache.logits
-        link = nn.log_softmax(logits) if spec.task == "single" \
-            else nn.sigmoid(logits)
+        link = link_of(logits)
         l_i, dl = loss_identified(logits[:b], values[batch_idx],
                                   known[batch_idx], spec.task, class_weights,
                                   link[:b])

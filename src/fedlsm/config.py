@@ -178,6 +178,9 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except (ValueError, RecursionError):  # too many digits or too deep
+            raise ConfigError(f"override {key}: value too large to parse") \
+                from None
         node = d
         parts = key.split(".")
         for part in parts[:-1]:

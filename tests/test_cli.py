@@ -226,9 +226,14 @@ def test_compare_rejects_non_json_report_line(finished_run, capsys):
         finished_run, capsys)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf,
+    pytest.param(10 ** 400, id="integer_past_float_max"),
+    pytest.param(-10 ** 400, id="integer_past_-float_max")])
 def test_compare_refuses_a_non_finite_metric(tmp_path, capsys, value):
     # json.dumps writes NaN and Infinity, which are not JSON; no run does.
+    # A JSON integer has no float limit: 1 and 400 zeros once ended in an
+    # OverflowError traceback after the output directory was made.
     write_run(tmp_path / "a", "fedavg_masked", {0: 0.5})
     write_run(tmp_path / "b", "fedlsm", {0: value})
     out = tmp_path / "cmp"
@@ -398,6 +403,20 @@ def test_run_rejects_eval_sets_that_cannot_be_scored(tiny_config, tmp_path,
                    *sets, "--quiet") == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out.exists()  # refused before anything trained or was written
+
+
+@pytest.mark.parametrize("raw", ["1" * 5000, "[" * 100000],
+                         ids=["5000-digits", "100000-brackets"])
+def test_run_refuses_an_override_too_large_to_parse(tiny_config, tmp_path,
+                                                    capsys, raw):
+    # 5000 digits pass Python's int conversion limit; 100000 brackets nest
+    # past its recursion limit.
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--set", f"rounds={raw}", "--quiet") == 1
+    assert capsys.readouterr().err == (
+        "error: override rounds: value too large to parse\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["federation.cluster_std=NaN",

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from fedlsm import client, nn
 from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
-                           ClientUpdate, PseudoLabelDecision, _decide,
+                           ClientUpdate, PseudoLabelDecision,
                            _draw_with_replacement, _track_verdicts,
                            compute_class_weights, draw_mix, local_train,
                            loss_identified, loss_ude, loss_unknown,
@@ -81,12 +81,56 @@ def mix_batch(x, values, known, part, teacher, spec, cfg, rng):
                                     cfg, rng)
     if spec.task == "single":
         dec = pseudo_single(teacher, views, spec.unknown, cfg.tau_l)
+        kept = dec.kept & ~known.any(axis=1)[members]
+        pos = pseudo_hits(kept, dec.klass, known.shape[1])
+        neg = kept[:, None] & ~pos
     else:
         dec = pseudo_multi(teacher, views, spec.unknown, cfg.tau_lp,
                            cfg.tau_ln)
-    pos, neg = dec.masks(known[members])
+        pos, neg = dec.state == 1, dec.state == -1
     return ude_batch(ClientData(x, values, known), members, lams, pos, neg,
                      cfg)
+
+
+# The verdict rule and its masks as they were before local_train made its
+# task choice once per round, verbatim: parent_decide was client._decide and
+# parent_masks was the PseudoLabelDecision.masks method.  The parent
+# references below use them.
+
+def parent_decide(logits: np.ndarray, unknown, task: str, hi,
+                  lo) -> PseudoLabelDecision:
+    """The confident-verdict rule on teacher logits.
+
+    Single-label: keep a row whose max softmax probability is at least hi
+    and whose argmax class is locally unknown.  Multi-label: per unknown
+    class, +1 where the sigmoid is at least hi, -1 where at most lo.  The
+    thresholds are scalars or one value per row.
+    """
+    cols = np.zeros(logits.shape[1], dtype=bool)
+    cols[list(unknown)] = True
+    if task == "single":
+        probs = nn.softmax(logits)
+        klass = probs.argmax(axis=1)
+        kept = (probs[np.arange(len(probs)), klass] >= hi) & cols[klass]
+        return PseudoLabelDecision(kept=kept, klass=klass)
+    probs = nn.sigmoid(logits)
+    # lo < hi, so a class is never both confidently positive and negative
+    state = (cols & (probs >= np.reshape(hi, (-1, 1)))).astype(np.int8)
+    state -= cols & (probs <= np.reshape(lo, (-1, 1)))
+    return PseudoLabelDecision(state=state)
+
+
+def parent_masks(self, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) (n, m) masks of the verdicts on rows with
+    trust mask `known`.  A kept single-label verdict counts only on a
+    row with no known label: positive on klass, negative elsewhere.
+    Multi-label verdicts pass through."""
+    if self.state is not None:
+        return self.state == 1, self.state == -1
+    kept = self.kept & ~known.any(axis=1)
+    pos = kept[:, None] & (self.klass[:, None]
+                           == np.arange(known.shape[1]))
+    return pos, kept[:, None] & ~pos
 
 
 # ------------------------------------------------------------- pseudo labels
@@ -332,18 +376,25 @@ def test_ude_batch_never_pseudo_labels_an_identified_class():
     assert xs.shape[0] == 0 and valid.shape == (0, 3)
 
 
-def test_decision_masks_skip_labeled_rows_and_pass_multi_state():
-    single = PseudoLabelDecision(kept=np.array([True, True, False]),
-                                 klass=np.array([2, 1, 0]))
-    known = np.array([[False] * 3, [True] * 3, [False] * 3])
-    pos, neg = single.masks(known)
-    # row 0: kept and unlabeled; row 1: labeled; row 2: not kept
-    assert pos.tolist() == [[False, False, True], [False] * 3, [False] * 3]
-    assert neg.tolist() == [[True, True, False], [False] * 3, [False] * 3]
-    state = np.array([[1, -1, 0], [0, 1, -1]], dtype=np.int8)
-    pos, neg = PseudoLabelDecision(state=state).masks(np.ones((2, 3), bool))
-    assert np.array_equal(pos, state == 1)
-    assert np.array_equal(neg, state == -1)
+def test_a_labeled_row_never_adds_to_kept_pseudo():
+    # The teacher is confident on unknown class 2 on every row, and the
+    # step keeps that verdict on an unlabeled row only.
+    m, n = 3, 20
+    x = inputs_for_logits([[0.0, 0.0, 8.0]] * n)
+    spec = ClientSpec(client_id=0, identified=(0,), unknown=(1, 2),
+                      task="single")
+    cfg = fast_cfg(local_iters=3)
+
+    def kept_pseudo(labels):
+        data = ClientData(x, *stacked(labels))
+        return local_train(probe_net(m), data, spec, cfg, round_idx=0,
+                           seed=3).stats["kept_pseudo"]
+
+    every_row = cfg.local_iters * cfg.batch_size
+    assert kept_pseudo([unlabeled(m)] * n) == every_row
+    assert kept_pseudo([unit_label(m, 0)] * n) == 0
+    assert 0 < kept_pseudo([unit_label(m, 0), unlabeled(m)] * (n // 2)) \
+        < every_row
 
 
 def test_ude_batch_multi_validity_mask():
@@ -409,8 +460,8 @@ def test_ude_batch_with_an_always_known_class_draws_one_plain_pass(task,
     members = np.concatenate([low_idx, high_idx])
     logits = nn.forward(teacher, augment_weak_batch(
         x[members], rng, cfg.augment)).logits
-    pos, neg = _decide(logits, spec.unknown, spec.task, hi,
-                       lo).masks(known[members])
+    pos, neg = parent_masks(parent_decide(logits, spec.unknown, spec.task,
+                                          hi, lo), known[members])
     y = np.where(pos, 1.0, values[members])
     ok = known[members] | pos | neg
     lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=need)
@@ -1009,8 +1060,8 @@ def parent_ude_batch(x: np.ndarray, values: np.ndarray, known: np.ndarray,
     # members followed by one for the high members.
     logits = nn.forward(teacher, augment_weak_batch(
         x[members], rng, cfg.augment)).logits
-    pos, neg = _decide(logits, spec.unknown, spec.task, hi,
-                       lo).masks(known[members])
+    pos, neg = parent_masks(parent_decide(logits, spec.unknown, spec.task,
+                                          hi, lo), known[members])
     y = np.where(pos, 1.0, values[members])
     ok = known[members] | pos | neg
     lams = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=n)
@@ -1097,7 +1148,7 @@ def reference_local_train(global_params: nn.ModelParams, data: ClientData,
                                    cfg.tau_n)
             # Labeled samples belong to the supervised loss, never the
             # pseudo loss.
-            hits, negative = dec.masks(known[batch_idx])
+            hits, negative = parent_masks(dec, known[batch_idx])
 
             cache_s = nn.forward(student, x_strong)
             l_u, dl_s = loss_unknown(cache_s.logits, hits, spec.task, negative)

@@ -101,6 +101,16 @@ def test_override_format_errors():
         apply_overrides({}, ["=3"])
 
 
+def test_an_override_too_large_to_parse_names_its_key():
+    with pytest.raises(ConfigError, match=r"^override client\.lr: value "
+                       "too large to parse$"):
+        apply_overrides({}, ["client.lr=" + "9" * 4301])
+    with pytest.raises(ConfigError, match=r"^override seeds: "):
+        apply_overrides({}, ["seeds=" + "[" * 100000])
+    # a long value that is not JSON is still a plain string
+    assert apply_overrides({}, ["mode=" + "x" * 5000]) == {"mode": "x" * 5000}
+
+
 def test_fingerprint_tracks_data_not_mode():
     a = config_from_dict({"version": 1, "mode": "fedlsm"})
     b = config_from_dict({"version": 1, "mode": "fedavg_masked",
