@@ -113,8 +113,8 @@ class ClientUpdate:
     client_id: int
     params: nn.ModelParams
     n_samples: int
-    edd: np.ndarray  # per-class count vector: labels for identified classes,
-    #                  confident pseudo labels for unknown ones
+    edd: np.ndarray  # per-class count vector: the client's known labels,
+    #                  plus confident pseudo labels for unknown classes
     stats: dict = field(default_factory=dict)
 
 
@@ -312,21 +312,17 @@ def ude_batch(data: ClientData, members: np.ndarray, lams: np.ndarray,
     return x_mix, y_mix, pair_ok[keep]
 
 
-def compute_class_weights(values: np.ndarray, known: np.ndarray,
-                          identified) -> np.ndarray:
+def compute_class_weights(values: np.ndarray,
+                          known: np.ndarray) -> np.ndarray:
     """Positive-term BCE weights n_neg/n_pos from known labels, in
     [1, CLASS_WEIGHT_MAX].
 
-    values and known are (n, m) label values and trust mask; classes
-    outside `identified` get weight 1.
+    values and known are (n, m) label values and trust mask, values zero
+    wherever known is not set; a class with no known label gets weight 1.
     """
-    n_pos = np.where(known, values, 0.0).sum(axis=0)
+    n_pos = values.sum(axis=0)
     n_neg = known.sum(axis=0) - n_pos
-    ratio = np.clip(n_neg / np.maximum(n_pos, 1.0), 1.0, CLASS_WEIGHT_MAX)
-    weights = np.ones(values.shape[1])
-    cols = list(identified)
-    weights[cols] = ratio[cols]
-    return weights
+    return np.clip(n_neg / np.maximum(n_pos, 1.0), 1.0, CLASS_WEIGHT_MAX)
 
 
 def _track_verdicts(tracked: np.ndarray, batch_idx: np.ndarray,
@@ -355,11 +351,13 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
     labeled samples (single-label) or all samples (multi-label), with no
     teacher, partition or MixUp.
 
-    The estimated class distribution counts true labels for identified
-    classes and, for unknown classes, the distinct samples that received a
-    confident pseudo label during the last epoch-equivalent window of
-    training iterations (so zero local iterations means zero pseudo
-    counts).
+    Counts and multi-label BCE weights come from the client's known
+    labels alone (data.known): a class with none gets weight 1, and under
+    fedavg_full, where every label is known, every class is counted and
+    weighted.  The estimated class distribution adds, for unknown classes,
+    the distinct samples that received a confident pseudo label during the
+    last epoch-equivalent window of training iterations (so zero local
+    iterations means zero pseudo counts).
     """
     if len(data) == 0:
         raise ConfigError(f"client {spec.client_id}: empty dataset")
@@ -375,9 +373,8 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
         if use_pseudo else None
     grads = global_params.like(np.empty_like(global_params.flat))
     adam = nn.AdamState.init(student)
-    # values are zero where not known; unknown-class counts come at the end
+    # values are zero where not known; pseudo counts come at the end
     edd = values.sum(axis=0)
-    edd[list(spec.unknown)] = 0.0
 
     b = cfg.batch_size
     labeled = known.any(axis=1)
@@ -412,7 +409,7 @@ def local_train(global_params: nn.ModelParams, data: ClientData,
             pos = kept[:, None] & (dec.klass[:, None] == np.arange(m))
             return pos, kept[:, None] & ~pos
     else:
-        class_weights = compute_class_weights(values, known, spec.identified)
+        class_weights = compute_class_weights(values, known)
         link_of = nn.sigmoid
         hi = np.repeat([cfg.tau_p, cfg.tau_lp], split)
         lo = np.repeat([cfg.tau_n, cfg.tau_ln], split)

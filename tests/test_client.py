@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from fedlsm import client, nn
-from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
-                           ClientUpdate, PseudoLabelDecision,
+from fedlsm.client import (CLASS_WEIGHT_MAX, UDE_CANDIDATES_PER_PAIR,
+                           ClientConfig, ClientUpdate, PseudoLabelDecision,
                            _draw_with_replacement, _track_verdicts,
                            compute_class_weights, draw_mix, local_train,
                            loss_identified, loss_ude, loss_unknown,
@@ -21,7 +21,8 @@ from fedlsm.client import (UDE_CANDIDATES_PER_PAIR, ClientConfig,
                            ude_candidates)
 from fedlsm.data import (AugmentConfig, ClientData, ClientSpec,
                          FederationConfig, augment_strong_batch,
-                         augment_weak_batch, gen_federation, unmask_labels)
+                         augment_weak_batch, gen_federation, mask_labels,
+                         unmask_labels)
 from fedlsm.errors import ConfigError, NumericError, ShapeError
 from fedlsm.server import run_federation
 from fedlsm.uncertainty import UncertaintyPartition, partition
@@ -685,6 +686,19 @@ def test_client_config_rejects_non_finite_settings(field, value):
         ClientConfig(**{field: value}).validate()
 
 
+def parent_compute_class_weights(values: np.ndarray, known: np.ndarray,
+                                 identified) -> np.ndarray:
+    """compute_class_weights as it was when it also took the identified
+    classes: a class outside them got weight 1, even with known labels."""
+    n_pos = np.where(known, values, 0.0).sum(axis=0)
+    n_neg = known.sum(axis=0) - n_pos
+    ratio = np.clip(n_neg / np.maximum(n_pos, 1.0), 1.0, CLASS_WEIGHT_MAX)
+    weights = np.ones(values.shape[1])
+    cols = list(identified)
+    weights[cols] = ratio[cols]
+    return weights
+
+
 def test_compute_class_weights_multi():
     m = 3
     spec = ClientSpec(client_id=0, identified=(0, 1), unknown=(2,),
@@ -695,10 +709,79 @@ def test_compute_class_weights_multi():
         values = np.array(vals, dtype=np.float64)
         samples.append((np.zeros(2), (np.where([1, 1, 0], values, 0.0),
                                       np.array([True, True, False]))))
-    w = compute_class_weights(*client_arrays(samples)[1:], spec.identified)
+    values, known = client_arrays(samples)[1:]
+    w = compute_class_weights(values, known)
+    assert w.tobytes() == parent_compute_class_weights(
+        values, known, spec.identified).tobytes()
     assert w[0] == pytest.approx(3.0)
     assert w[1] == pytest.approx(1.0)
     assert w[2] == 1.0
+
+
+def test_compute_class_weights_weights_every_known_class():
+    # All labels known, as under fedavg_full: class 2, outside the old
+    # identified set (0, 1), has 1 pos / 3 neg and so its own weight 3.0.
+    truth = np.array([[1, 1, 0], [0, 1, 1], [0, 1, 0], [0, 0, 0]],
+                     dtype=np.float64)
+    data = unmask_labels(np.zeros((4, 2)), truth)
+    assert compute_class_weights(data.values, data.known).tolist() == \
+        [3.0, 1.0, 3.0]
+    assert parent_compute_class_weights(data.values, data.known,
+                                        (0, 1)).tolist() == [3.0, 1.0, 1.0]
+
+
+def test_fedavg_full_multi_weights_and_counts_every_known_class(monkeypatch):
+    fed, params = equivalence_setup("multi", 0)
+    spec = fed.specs[0]
+    data = unmask_labels(fed.clients[0].x, fed.truth[0])
+    weights = compute_class_weights(data.values, data.known)
+    assert (weights[list(spec.unknown)] > 1.0).any()
+    seen = []
+
+    def spy(logits, values, known, task, class_weights=None, link=None):
+        seen.append(class_weights)
+        return loss_identified(logits, values, known, task, class_weights,
+                               link)
+
+    monkeypatch.setattr(client, "loss_identified", spy)
+    cfg = ClientConfig(local_iters=3, batch_size=16)
+    upd = local_train(params, data, spec, cfg, round_idx=0, seed=0,
+                      use_pseudo=False)
+    assert len(seen) == 3
+    assert all(w.tobytes() == weights.tobytes() for w in seen)
+    assert upd.edd.tobytes() == data.values.sum(axis=0).tobytes()
+    assert upd.edd[list(spec.unknown)].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_masked_labels_keep_the_parent_weights_and_counts(data):
+    """On mask_labels output, known covers exactly the identified classes
+    (multi-label), so the weights from known alone are the parent's, and
+    no unknown class holds a label to count."""
+    m = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 8))
+    identified = tuple(sorted(data.draw(st.sets(st.integers(0, m - 1),
+                                                min_size=1))))
+    unknown = tuple(c for c in range(m) if c not in identified)
+    truth = {
+        "multi": np.array(data.draw(st.lists(
+            st.booleans(), min_size=n * m, max_size=n * m)),
+            dtype=np.float64).reshape(n, m),
+        "single": np.eye(m)[data.draw(st.lists(
+            st.integers(0, m - 1), min_size=n, max_size=n))],
+    }
+    x = np.zeros((n, 2))
+    for task in ("single", "multi"):
+        spec = ClientSpec(client_id=0, identified=identified, unknown=unknown,
+                          task=task)
+        labels = mask_labels(x, truth[task], spec)
+        if task == "multi":
+            assert compute_class_weights(labels.values,
+                                         labels.known).tobytes() == \
+                parent_compute_class_weights(labels.values, labels.known,
+                                             spec.identified).tobytes()
+        assert not labels.values.sum(axis=0)[list(unknown)].any()
 
 
 # ------------------------------------------- per-row reference equivalence
@@ -1101,8 +1184,8 @@ def reference_local_train(global_params: nn.ModelParams, data: ClientData,
     # values are zero where not known; unknown-class counts come at the end
     edd = values.sum(axis=0)
     edd[list(spec.unknown)] = 0.0
-    class_weights = compute_class_weights(values, known, spec.identified) \
-        if spec.task == "multi" else None
+    class_weights = parent_compute_class_weights(
+        values, known, spec.identified) if spec.task == "multi" else None
 
     if use_pseudo:
         part = partition(x, global_params, spec.task, spec.unknown,
@@ -1268,10 +1351,14 @@ def test_fedavg_step_matches_parent_loop(monkeypatch, task, seed, batch_size,
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a: made.append(default_rng(*a)) or made[-1])
     for k, (spec, data) in enumerate(zip(fed.specs, fed.clients)):
+        ref_spec = spec
         if unmask:
             data = unmask_labels(data.x, fed.truth[k])
-        want = reference_local_train(params, data, spec, cfg, round_idx=1,
-                                     seed=seed, use_pseudo=False)
+            # Every label is known: every class is weighted and counted.
+            ref_spec = replace(spec, unknown=(),
+                               identified=tuple(range(params.num_classes)))
+        want = reference_local_train(params, data, ref_spec, cfg,
+                                     round_idx=1, seed=seed, use_pseudo=False)
         got = local_train(params, data, spec, cfg, round_idx=1, seed=seed,
                           use_pseudo=False)
         assert len(made) == 2
