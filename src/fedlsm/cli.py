@@ -28,7 +28,7 @@ from .config import (ExperimentConfig, apply_overrides, config_from_dict,
                      data_fingerprint, load_config, read_json)
 from .data import gen_federation
 from .errors import ConfigError, NumericError, ParseError
-from .server import run_federation
+from .server import MODES, run_federation
 
 SUMMARY_METRICS = ("macro_auc", "accuracy", "macro_f1", "macro_precision",
                    "macro_recall")
@@ -138,7 +138,10 @@ def _load_run(path: Path):
         raise ConfigError(f"{path}: not a run directory (missing run.json)")
     record = read_json(run_file)
     seeds = _field(record, "config.seeds", list, run_file)
-    _field(record, "config.mode", str, run_file)
+    # The mode names the default output directory and the curve columns.
+    mode = _field(record, "config.mode", str, run_file)
+    if mode not in MODES:
+        raise ParseError(f"{run_file}: config.mode: unknown mode {mode!r}")
     _field(record, "data_fingerprint", str, run_file)
     if not seeds or any(type(s) is not int for s in seeds):
         raise ParseError(f"{run_file}: config.seeds must list integers")

@@ -117,7 +117,7 @@ def _object(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"repeated key {key!r}")
+            raise ParseError(f"repeated key {key!r}")
         obj[key] = value
     return obj
 
@@ -165,7 +165,8 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
     """Patch a raw config dict with dotted key=value strings.
 
     Values parse as JSON when possible and fall back to plain strings, so
-    --set mode=fedavg_full and --set client.lr=0.001 both work.
+    --set mode=fedavg_full and --set client.lr=0.001 both work.  An object
+    that repeats a key is refused, as in a config file.
     """
     for item in overrides:
         if "=" not in item:
@@ -175,9 +176,11 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
         if not key:
             raise ConfigError(f"override {item!r}: empty key")
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, object_pairs_hook=_object)
         except json.JSONDecodeError:
             value = raw
+        except ParseError as e:  # a repeated key
+            raise ConfigError(f"override {key}: {e}") from None
         except (ValueError, RecursionError):  # too many digits or too deep
             raise ConfigError(f"override {key}: value too large to parse") \
                 from None

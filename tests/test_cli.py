@@ -273,6 +273,31 @@ def test_run_refuses_a_repeated_key_in_the_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_refuses_a_repeated_key_in_an_override(tiny_config, tmp_path,
+                                                   capsys):
+    # json.loads alone kept the last value and trained at lr 0.2.
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_config, "--output-dir", str(out),
+                   "--set", 'client={"lr": 0.1, "lr": 0.2}', "--quiet") == 1
+    assert capsys.readouterr().err == (
+        "error: override client: repeated key 'lr'\n")
+    assert not out.exists()
+
+
+def test_compare_refuses_an_unknown_mode(tmp_path, monkeypatch, capsys):
+    # The mode names the default output directory: a path in it once
+    # wrote the comparison outside the output root.
+    write_run(tmp_path / "a", "x/../../escaped", {0: 0.5})
+    write_run(tmp_path / "b", "fedavg_masked", {0: 0.5})
+    root = tmp_path / "root"
+    monkeypatch.setenv("FEDLSM_OUTPUT_DIR", str(root / "out"))
+    assert run_cli("compare", str(tmp_path / "a"), str(tmp_path / "b")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'a' / 'run.json'}: config.mode: unknown mode "
+        "'x/../../escaped'\n")
+    assert not root.exists()
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
     | st.text(max_size=5),

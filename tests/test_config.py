@@ -111,6 +111,12 @@ def test_an_override_too_large_to_parse_names_its_key():
     assert apply_overrides({}, ["mode=" + "x" * 5000]) == {"mode": "x" * 5000}
 
 
+def test_an_override_refuses_a_repeated_key():
+    with pytest.raises(ConfigError, match=r"^override client: repeated key "
+                       "'lr'$"):
+        apply_overrides({}, ['client={"lr": 0.1, "lr": 0.2}'])
+
+
 def test_fingerprint_tracks_data_not_mode():
     a = config_from_dict({"version": 1, "mode": "fedlsm"})
     b = config_from_dict({"version": 1, "mode": "fedavg_masked",
